@@ -1,11 +1,11 @@
 //! [`TcpTransport`] — the real-sockets backend of the
 //! [`crate::Transport`] contract.
 //!
-//! Wraps an [`allconcur_net::LocalCluster`] (one OS-thread runtime per
-//! server, loopback TCP for protocol messages, UDP heartbeats for the
-//! FD). Submission buffering lives in each node's runtime, so `submit`
-//! just forwards; `poll_delivery` round-robins the nodes' delivery
-//! channels.
+//! Wraps an [`allconcur_net::LocalCluster`] (every server registered
+//! on a shared epoll reactor pool sized `min(cores, n)`, loopback TCP
+//! for protocol messages, UDP heartbeats for the FD). Submission
+//! buffering lives in each node's runtime, so `submit` just forwards;
+//! `poll_delivery` round-robins the nodes' delivery channels.
 
 use crate::error::ClusterError;
 use crate::transport::{FaultCommand, Transport};
@@ -26,7 +26,7 @@ const POLL_MAX: Duration = Duration::from_millis(2);
 /// Suggested retry pause reported with [`ClusterError::Busy`] when a
 /// node's bounded input queue sheds a submission. One millisecond is a
 /// few round-trips of loopback protocol work — long enough for the
-/// protocol thread to drain real backlog, short enough that a
+/// node's reactor to drain real backlog, short enough that a
 /// closed-loop client barely notices.
 const SUBMIT_RETRY_AFTER: Duration = Duration::from_millis(1);
 
@@ -158,7 +158,7 @@ impl Transport for TcpTransport {
         }
         // Rescue deliveries the victim already produced: killing the node
         // drops its channel, and the simulator keeps these observable.
-        // The drain happens after the node's threads join, so a round
+        // The drain happens after the reactor drops the node, so a round
         // completing during teardown cannot slip away.
         for delivery in cluster.kill_and_drain(id) {
             self.parked.push_back((id, delivery));

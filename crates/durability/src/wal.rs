@@ -126,7 +126,7 @@ pub struct ScrubReport {
 pub enum RecoverOutcome {
     /// The log was intact (any torn tail trimmed): the reopened WAL
     /// plus what it reconstructed.
-    Intact(Wal, Recovered),
+    Intact(Box<Wal>, Recovered),
     /// Mid-log rot — acknowledged history is damaged on *this* disk.
     /// The disk is handed back untouched so the caller can rebuild the
     /// server from another server's chunked catch-up.
@@ -400,7 +400,7 @@ impl Wal {
         cfg: DurabilityConfig,
     ) -> io::Result<(Self, Recovered)> {
         match Self::recover_or_rot(disk, cfg)? {
-            RecoverOutcome::Intact(wal, rec) => Ok((wal, rec)),
+            RecoverOutcome::Intact(wal, rec) => Ok((*wal, rec)),
             RecoverOutcome::Rotted { rot, .. } => Err(rot.into()),
         }
     }
@@ -547,7 +547,7 @@ impl Wal {
             frame_buf: Vec::new(),
         };
         let recovered = Recovered { epoch, snapshot, snapshot_covers: covers, suffix, torn };
-        Ok(RecoverOutcome::Intact(wal, recovered))
+        Ok(RecoverOutcome::Intact(Box::new(wal), recovered))
     }
 
     /// Verify every durable artefact of the current epoch in place:

@@ -19,9 +19,8 @@ use std::time::Duration;
 /// A local multi-server deployment.
 ///
 /// Every node shares one [`EventLoopPool`] sized `min(cores, n)`, so
-/// the whole cluster runs on O(cores) threads — not the O(n·d) the old
-/// thread-per-socket runtime needed, which is what collapsed pipelined
-/// rounds at `n = 16` on small machines.
+/// the whole cluster runs on O(cores) threads regardless of `n` and the
+/// overlay degree.
 pub struct LocalCluster {
     nodes: Vec<Option<NodeRuntime>>,
     cfg: Config,
@@ -58,12 +57,8 @@ impl LocalCluster {
         // One reactor per core (never more than one per node): the
         // event loops multiplex every node's sockets and timers, so
         // thread count stays O(cores) regardless of n and d.
-        let threads = if opts.loop_threads > 0 {
-            opts.loop_threads
-        } else {
-            std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-        };
-        let pool = EventLoopPool::new(threads.min(n).max(1))?;
+        let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+        let pool = EventLoopPool::new(cores.min(n))?;
 
         let mut nodes = Vec::with_capacity(n);
         // Connections are non-blocking and retried under backoff, so
@@ -110,16 +105,6 @@ impl LocalCluster {
             Some(node) => node.broadcast(payload),
             None => false,
         }
-    }
-
-    /// Wait for the next delivery at `id`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `allconcur_cluster::Cluster::recv_delivery`, which distinguishes \
-                timeouts from dead servers and works identically over both backends"
-    )]
-    pub fn recv_delivery(&self, id: ServerId, timeout: Duration) -> Option<Delivery> {
-        self.nodes[id as usize].as_ref()?.recv_delivery(timeout)
     }
 
     /// Non-blocking receive of the next delivery at `id`.
@@ -193,7 +178,7 @@ impl LocalCluster {
         self.nodes[id as usize].as_ref().map(|n| n.link_stats()).unwrap_or_default()
     }
 
-    /// Emulate a fail-stop crash of `id`: all its threads stop, sockets
+    /// Emulate a fail-stop crash of `id`: its reactor drops it, sockets
     /// close, heartbeats cease. Peers detect via disconnect/FD.
     pub fn kill(&mut self, id: ServerId) {
         if let Some(node) = self.nodes[id as usize].take() {
@@ -203,7 +188,7 @@ impl LocalCluster {
 
     /// [`LocalCluster::kill`], returning the deliveries `id` produced
     /// that the application had not yet received (drained after the
-    /// node's threads have joined, so none are lost in the teardown).
+    /// reactor has torn the node down, so none are lost in the teardown).
     pub fn kill_and_drain(&mut self, id: ServerId) -> Vec<Delivery> {
         match self.nodes[id as usize].take() {
             Some(node) => node.shutdown_and_drain(),
@@ -214,23 +199,6 @@ impl LocalCluster {
     /// Whether `id` is still running.
     pub fn is_running(&self, id: ServerId) -> bool {
         self.nodes[id as usize].is_some()
-    }
-
-    /// Run one full round: broadcast `payloads[i]` as server `i` (for
-    /// running servers) and collect one delivery from each. Returns
-    /// `None` entries for servers that are dead or time out.
-    #[deprecated(
-        since = "0.2.0",
-        note = "drive deployments through `allconcur_cluster::Cluster::run_round`, which \
-                works identically over the simulator and TCP"
-    )]
-    #[allow(deprecated)] // shim calls its deprecated sibling
-    pub fn run_round(&self, payloads: &[Bytes], timeout: Duration) -> Vec<Option<Delivery>> {
-        assert_eq!(payloads.len(), self.n());
-        for (i, p) in payloads.iter().enumerate() {
-            let _ = self.broadcast(i as ServerId, p.clone());
-        }
-        (0..self.n() as ServerId).map(|i| self.recv_delivery(i, timeout)).collect()
     }
 
     /// Graceful shutdown of every remaining server.
@@ -250,79 +218,5 @@ impl Drop for LocalCluster {
                 n.shutdown();
             }
         }
-    }
-}
-
-#[cfg(test)]
-#[allow(deprecated)] // exercises the deprecated lockstep shim on purpose
-mod tests {
-    use super::*;
-    use allconcur_graph::gs::gs_digraph;
-    use allconcur_graph::standard::complete_digraph;
-
-    fn payloads(n: usize) -> Vec<Bytes> {
-        (0..n).map(|i| Bytes::from(vec![i as u8; 32])).collect()
-    }
-
-    #[test]
-    fn tcp_round_on_complete_digraph() {
-        let cluster = LocalCluster::spawn(complete_digraph(4), RuntimeOptions::default()).unwrap();
-        let deliveries = cluster.run_round(&payloads(4), Duration::from_secs(10));
-        let first = deliveries[0].as_ref().expect("server 0 delivered");
-        assert_eq!(first.messages.len(), 4);
-        for (i, d) in deliveries.iter().enumerate() {
-            let d = d.as_ref().unwrap_or_else(|| panic!("server {i} timed out"));
-            assert_eq!(d.round, 0);
-            assert_eq!(d.messages, first.messages, "total order violated at {i}");
-        }
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn tcp_multiple_rounds_gs83() {
-        let cluster =
-            LocalCluster::spawn(gs_digraph(8, 3).unwrap(), RuntimeOptions::default()).unwrap();
-        for round in 0..3u64 {
-            let deliveries = cluster.run_round(&payloads(8), Duration::from_secs(10));
-            for (i, d) in deliveries.iter().enumerate() {
-                let d = d.as_ref().unwrap_or_else(|| panic!("server {i} round {round}"));
-                assert_eq!(d.round, round);
-                assert_eq!(d.messages.len(), 8);
-            }
-        }
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn tcp_survives_crash() {
-        let mut cluster =
-            LocalCluster::spawn(gs_digraph(8, 3).unwrap(), RuntimeOptions::default()).unwrap();
-        // Round 0: all alive.
-        let d0 = cluster.run_round(&payloads(8), Duration::from_secs(10));
-        assert!(d0.iter().all(Option::is_some));
-        // Kill server 6, then run a round without it.
-        cluster.kill(6);
-        let mut ps = payloads(8);
-        ps[6] = Bytes::new();
-        for (i, p) in ps.iter().enumerate() {
-            let _ = cluster.broadcast(i as ServerId, p.clone());
-        }
-        let mut reference: Option<Vec<(ServerId, Bytes)>> = None;
-        for i in 0..8u32 {
-            if i == 6 {
-                continue;
-            }
-            let d = cluster
-                .recv_delivery(i, Duration::from_secs(20))
-                .unwrap_or_else(|| panic!("server {i} stuck after crash"));
-            assert_eq!(d.round, 1);
-            let origins: Vec<ServerId> = d.messages.iter().map(|&(o, _)| o).collect();
-            assert!(!origins.contains(&6), "server {i} delivered the dead server's message");
-            match &reference {
-                None => reference = Some(d.messages),
-                Some(r) => assert_eq!(&d.messages, r, "set agreement violated at {i}"),
-            }
-        }
-        cluster.shutdown();
     }
 }

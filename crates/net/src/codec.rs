@@ -1,9 +1,11 @@
 //! TCP framing, format v2: `len: u32 le`, `crc32(body): u32 le`, then
 //! the message encoding from [`allconcur_core::message`] — the same
 //! checksummed frame grammar the WAL speaks
-//! ([`allconcur_core::wire::put_frame`]) — plus the versioned
-//! connection handshake (the connecting side announces the wire format
-//! version and its server id so the receiver can attribute frames).
+//! ([`allconcur_core::wire::put_frame`] / [`allconcur_core::wire::read_frame`]),
+//! parsed here by a streaming buffer over that one parser — plus the
+//! versioned connection handshake (the connecting side announces the
+//! wire format version and its server id so the receiver can attribute
+//! frames).
 //!
 //! The CRC turns a flipped bit on the wire into a *detected* fault: the
 //! reader rejects the frame with a typed [`FrameFault`] (distinct from
@@ -12,10 +14,10 @@
 //! payload is never delivered to the protocol.
 
 use allconcur_core::message::{CodecError, Message};
-use allconcur_core::wire::crc32;
+use allconcur_core::wire::{self, FrameError, FRAME_HEADER_BYTES};
 use allconcur_core::ServerId;
 use bytes::Bytes;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Maximum accepted frame, guarding against corrupt length prefixes.
 /// One constant for every checksummed framing path — re-exported from
@@ -34,6 +36,9 @@ pub const WIRE_VERSION: u8 = 2;
 /// mistaken for a peer speaking an unknown older format.
 pub const HANDSHAKE_MAGIC: [u8; 2] = *b"AC";
 
+/// Handshake length: magic, version, then the sender's `u32 le` id.
+pub const HANDSHAKE_LEN: usize = 7;
+
 /// Why an inbound frame (or handshake) was rejected — the typed payload
 /// of an `InvalidData` [`io::Error`], distinct from `UnexpectedEof`.
 /// Classify with [`frame_fault`] / [`is_corrupt_frame`].
@@ -41,12 +46,7 @@ pub const HANDSHAKE_MAGIC: [u8; 2] = *b"AC";
 pub enum FrameFault {
     /// The body's CRC32 does not match the header — a flipped bit on
     /// the wire (or a desynchronised stream).
-    CrcMismatch {
-        /// Checksum the header claimed.
-        expected: u32,
-        /// Checksum the received body actually has.
-        actual: u32,
-    },
+    CrcMismatch,
     /// The body passed its CRC but is not a valid message encoding —
     /// a sender-side corruption (flipped before the checksum was
     /// computed) or a protocol bug.
@@ -67,9 +67,7 @@ pub enum FrameFault {
 impl std::fmt::Display for FrameFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FrameFault::CrcMismatch { expected, actual } => {
-                write!(f, "frame checksum mismatch (header {expected:#010x}, body {actual:#010x})")
-            }
+            FrameFault::CrcMismatch => write!(f, "frame checksum mismatch"),
             FrameFault::Decode(e) => write!(f, "frame body undecodable: {e}"),
             FrameFault::Oversize { len } => {
                 write!(f, "oversized frame ({len} bytes > {MAX_FRAME})")
@@ -106,8 +104,8 @@ pub fn is_corrupt_frame(e: &io::Error) -> bool {
 /// Encode one message into its wire frame, bounds-checked.
 ///
 /// The frame is refcounted [`Bytes`]: encode once, then hand the same
-/// frame to every successor's writer ([`write_encoded_frame`]) — the
-/// fan-out path of the protocol loop never re-encodes per destination.
+/// frame to every successor's link — the fan-out path of the protocol
+/// loop never re-encodes per destination.
 pub fn encode_frame(msg: &Message) -> io::Result<Bytes> {
     if msg.encoded_len() > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame too large"));
@@ -115,62 +113,20 @@ pub fn encode_frame(msg: &Message) -> io::Result<Bytes> {
     Ok(msg.to_frame())
 }
 
-/// Write one already-encoded frame (from [`encode_frame`]).
-pub fn write_encoded_frame<W: Write>(w: &mut W, frame: &Bytes) -> io::Result<()> {
-    w.write_all(frame)
-}
-
-/// Write one framed message (encode + write in one step; the fan-out
-/// hot path uses [`encode_frame`] + [`write_encoded_frame`] instead so
-/// one encoding serves all `d` successors).
-pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
-    write_encoded_frame(w, &encode_frame(msg)?)
-}
-
-/// Verify and decode one complete frame body against its header CRC.
-fn decode_checked(body: &[u8], sum: u32) -> io::Result<Message> {
-    let actual = crc32(body);
-    if actual != sum {
-        return Err(FrameFault::CrcMismatch { expected: sum, actual }.into());
-    }
-    let mut bytes = Bytes::copy_from_slice(body);
-    Message::decode(&mut bytes).map_err(|e| FrameFault::Decode(e).into())
-}
-
-/// Read one framed message (blocking).
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Message> {
-    let mut header = [0u8; 8];
-    r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    let sum = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if len > MAX_FRAME {
-        return Err(FrameFault::Oversize { len }.into());
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    decode_checked(&buf, sum)
-}
-
-/// Buffered frame reader for the runtime's per-connection reader
-/// threads.
+/// Streaming frame reader, one per inbound connection.
 ///
-/// [`read_frame`] costs two `read` syscalls (header, body) per message;
-/// under pipelined rounds a predecessor's link carries dense bursts of
-/// small frames, so this reader pulls whole bursts into one buffer with
-/// a single syscall and parses frames out of it. It is also safe under
-/// read *timeouts*: a `WouldBlock`/`TimedOut` mid-frame keeps the
-/// partial bytes buffered and resumes cleanly on the next call —
-/// `read_frame` + `read_exact` would desynchronise the stream instead.
-/// Every parsed frame is CRC-checked before its body is decoded.
+/// Pulls whole bursts into one buffer with a single `read` and parses
+/// frames out of it with [`allconcur_core::wire::read_frame`]: a
+/// `Truncated` frame means "read more", a `Corrupt` one is a typed
+/// [`FrameFault`]. A read that would block (or times out) mid-frame
+/// keeps the partial bytes buffered and resumes cleanly on the next
+/// call. Every parsed frame is CRC-checked before its body is decoded.
 #[derive(Debug)]
 pub struct FrameReader {
     buf: Vec<u8>,
     start: usize,
     end: usize,
 }
-
-/// Wire frame header bytes: length + CRC32.
-const HEADER: usize = 8;
 
 impl Default for FrameReader {
     fn default() -> Self {
@@ -184,11 +140,6 @@ impl FrameReader {
         FrameReader { buf: vec![0u8; 64 * 1024], start: 0, end: 0 }
     }
 
-    /// Bytes buffered but not yet parsed.
-    fn buffered(&self) -> usize {
-        self.end - self.start
-    }
-
     /// Read the next frame from `r`. `Ok(Some(msg))` on a complete,
     /// checksum-verified frame, `Ok(None)` when the underlying read
     /// timed out or would block (call again later — partial frames stay
@@ -196,27 +147,25 @@ impl FrameReader {
     /// latter carrying a typed [`FrameFault`]; see [`is_corrupt_frame`]).
     pub fn read_frame<R: Read>(&mut self, r: &mut R) -> io::Result<Option<Message>> {
         loop {
-            if self.buffered() >= HEADER {
-                // Infallible 8-byte header read: `buffered() >= HEADER`
-                // guarantees the indices, no fallible conversion needed.
-                let s = self.start;
-                let len_buf = [self.buf[s], self.buf[s + 1], self.buf[s + 2], self.buf[s + 3]];
-                let len = u32::from_le_bytes(len_buf) as usize;
-                let sum_buf = [self.buf[s + 4], self.buf[s + 5], self.buf[s + 6], self.buf[s + 7]];
-                let sum = u32::from_le_bytes(sum_buf);
+            let pending = &self.buf[self.start..self.end];
+            match wire::read_frame(pending, 0) {
+                Ok((body, used)) => {
+                    let msg = Message::decode(&mut Bytes::copy_from_slice(body));
+                    self.start += used;
+                    return msg.map(Some).map_err(|e| FrameFault::Decode(e).into());
+                }
+                Err(FrameError::Corrupt) => return Err(FrameFault::CrcMismatch.into()),
+                Err(FrameError::Truncated) => {}
+            }
+            // Peek the length prefix so a corrupt one is rejected before
+            // the buffer grows to fit it.
+            if let Some(len) = pending.first_chunk::<4>().map(|b| u32::from_le_bytes(*b) as usize) {
                 if len > MAX_FRAME {
                     return Err(FrameFault::Oversize { len }.into());
                 }
-                if self.buffered() >= HEADER + len {
-                    let body = &self.buf[self.start + HEADER..self.start + HEADER + len];
-                    let msg = decode_checked(body, sum);
-                    self.start += HEADER + len;
-                    return msg.map(Some);
-                }
-                // Incomplete frame: make sure it can ever fit.
-                if HEADER + len > self.buf.len() {
+                if FRAME_HEADER_BYTES + len > self.buf.len() {
                     self.compact();
-                    self.buf.resize(HEADER + len, 0);
+                    self.buf.resize(FRAME_HEADER_BYTES + len, 0);
                 }
             }
             if self.end == self.buf.len() {
@@ -252,22 +201,20 @@ impl FrameReader {
 /// Handshake sent by the connecting (predecessor) side: magic,
 /// wire-format version, then the sender's id. Versioned so a future v3
 /// can negotiate instead of desyncing against an old peer.
-pub fn write_handshake<W: Write>(w: &mut W, id: ServerId) -> io::Result<()> {
-    let mut buf = [0u8; 7];
+pub fn encode_handshake(id: ServerId) -> [u8; HANDSHAKE_LEN] {
+    let mut buf = [0u8; HANDSHAKE_LEN];
     buf[..2].copy_from_slice(&HANDSHAKE_MAGIC);
     buf[2] = WIRE_VERSION;
     buf[3..].copy_from_slice(&id.to_le_bytes());
-    w.write_all(&buf)
+    buf
 }
 
-/// Handshake read by the accepting (successor) side. Rejects a bad
-/// magic or an unsupported version with a typed
-/// [`FrameFault::Handshake`].
-pub fn read_handshake<R: Read>(r: &mut R) -> io::Result<ServerId> {
-    let mut buf = [0u8; 7];
-    r.read_exact(&mut buf)?;
+/// Parse the handshake the accepting (successor) side received: the
+/// sender's id, or [`FrameFault::Handshake`] for a bad magic or an
+/// unsupported version.
+pub fn parse_handshake(buf: &[u8; HANDSHAKE_LEN]) -> Result<ServerId, FrameFault> {
     if buf[..2] != HANDSHAKE_MAGIC || buf[2] != WIRE_VERSION {
-        return Err(FrameFault::Handshake { got: [buf[0], buf[1], buf[2]] }.into());
+        return Err(FrameFault::Handshake { got: [buf[0], buf[1], buf[2]] });
     }
     Ok(ServerId::from_le_bytes([buf[3], buf[4], buf[5], buf[6]]))
 }
@@ -278,42 +225,8 @@ mod tests {
     use std::io::Cursor;
 
     #[test]
-    fn frame_roundtrip() {
-        let msgs = vec![
-            Message::Bcast { round: 9, origin: 2, payload: Bytes::from(vec![7u8; 1000]) },
-            Message::Fail { round: 9, failed: 1, detector: 3 },
-            Message::Fwd { round: 9, origin: 0 },
-        ];
-        let mut wire = Vec::new();
-        for m in &msgs {
-            write_frame(&mut wire, m).unwrap();
-        }
-        let mut cursor = Cursor::new(wire);
-        for m in &msgs {
-            assert_eq!(&read_frame(&mut cursor).unwrap(), m);
-        }
-    }
-
-    #[test]
-    fn encoded_frame_fans_out_identically() {
-        // One encode_frame, written to several writers, must decode to
-        // the same message on every stream.
-        let msg = Message::Bcast { round: 2, origin: 7, payload: Bytes::from(vec![9u8; 128]) };
-        let frame = encode_frame(&msg).unwrap();
-        let mut wires: Vec<Vec<u8>> = vec![Vec::new(); 3];
-        for w in &mut wires {
-            write_encoded_frame(w, &frame).unwrap();
-        }
-        for wire in wires {
-            assert_eq!(read_frame(&mut Cursor::new(wire)).unwrap(), msg);
-        }
-    }
-
-    #[test]
     fn handshake_roundtrip() {
-        let mut wire = Vec::new();
-        write_handshake(&mut wire, 42).unwrap();
-        assert_eq!(read_handshake(&mut Cursor::new(wire)).unwrap(), 42);
+        assert_eq!(parse_handshake(&encode_handshake(42)), Ok(42));
     }
 
     #[test]
@@ -321,132 +234,48 @@ mod tests {
         // A v1 peer sent a bare 4-byte id; whatever those bytes are,
         // they cannot pass the magic check. (7 zero bytes stands in for
         // the prefix of any v1 stream plus padding.)
-        let v1 = [0u8; 7];
-        let err = read_handshake(&mut Cursor::new(v1.to_vec())).unwrap_err();
-        assert!(matches!(frame_fault(&err), Some(FrameFault::Handshake { .. })));
-        // Right magic, wrong version.
-        let mut wrong_ver = Vec::new();
-        write_handshake(&mut wrong_ver, 3).unwrap();
+        assert_eq!(parse_handshake(&[0u8; 7]), Err(FrameFault::Handshake { got: [0, 0, 0] }));
+        assert!(matches!(parse_handshake(b"GET / H"), Err(FrameFault::Handshake { .. })));
+    }
+
+    #[test]
+    fn handshake_rejects_wrong_version() {
+        let mut wrong_ver = encode_handshake(3);
         wrong_ver[2] = 99;
-        let err = read_handshake(&mut Cursor::new(wrong_ver)).unwrap_err();
-        assert!(matches!(frame_fault(&err), Some(FrameFault::Handshake { got }) if got[2] == 99));
+        assert!(
+            matches!(parse_handshake(&wrong_ver), Err(FrameFault::Handshake { got }) if got[2] == 99)
+        );
     }
 
     #[test]
-    fn oversized_frame_rejected_with_typed_fault() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&(u32::MAX).to_le_bytes());
-        wire.extend_from_slice(&[0u8; 16]);
-        let err = read_frame(&mut Cursor::new(wire)).unwrap_err();
-        assert!(matches!(frame_fault(&err), Some(FrameFault::Oversize { .. })));
-        assert!(is_corrupt_frame(&err));
+    fn oversized_length_rejected_before_the_buffer_grows() {
+        for len in [MAX_FRAME as u32 + 1, u32::MAX] {
+            let mut wire = len.to_le_bytes().to_vec();
+            wire.extend_from_slice(&[0u8; 16]);
+            let mut reader = FrameReader::new();
+            let err = reader.read_frame(&mut Cursor::new(wire)).unwrap_err();
+            assert!(matches!(frame_fault(&err), Some(FrameFault::Oversize { .. })), "{err}");
+            assert!(is_corrupt_frame(&err));
+            assert_eq!(reader.buf.len(), 64 * 1024, "corrupt length must not allocate");
+        }
     }
 
     #[test]
-    fn corrupt_body_is_typed_and_distinct_from_eof() {
+    fn corrupt_frames_are_typed_and_distinct_from_eof() {
         let msg = Message::Bcast { round: 4, origin: 1, payload: Bytes::from(vec![5u8; 32]) };
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &msg).unwrap();
+        let mut wire = encode_frame(&msg).unwrap().to_vec();
         let last = wire.len() - 1;
         wire[last] ^= 0x01;
-        let err = read_frame(&mut Cursor::new(wire)).unwrap_err();
-        assert!(matches!(frame_fault(&err), Some(FrameFault::CrcMismatch { .. })));
-        assert!(is_corrupt_frame(&err));
+        let err = FrameReader::new().read_frame(&mut Cursor::new(wire)).unwrap_err();
+        assert!(matches!(frame_fault(&err), Some(FrameFault::CrcMismatch)), "{err}");
+        // A body with a valid CRC that is not a message encoding.
+        let mut garbage = Vec::new();
+        wire::put_frame(&mut garbage, &[0xFF; 3]);
+        let err = FrameReader::new().read_frame(&mut Cursor::new(garbage)).unwrap_err();
+        assert!(matches!(frame_fault(&err), Some(FrameFault::Decode(_))), "{err}");
         // EOF carries no FrameFault.
-        let eof = read_frame(&mut Cursor::new(Vec::new())).unwrap_err();
+        let eof = FrameReader::new().read_frame(&mut Cursor::new(Vec::new())).unwrap_err();
         assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof);
         assert!(!is_corrupt_frame(&eof));
-    }
-
-    /// A reader that hands out bytes in dribbles and injects timeouts,
-    /// for the buffered reader's resume-mid-frame path.
-    struct Dribble {
-        data: Vec<u8>,
-        pos: usize,
-        chunk: usize,
-        timeout_every: usize,
-        reads: usize,
-    }
-
-    impl Read for Dribble {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.reads += 1;
-            if self.timeout_every > 0 && self.reads.is_multiple_of(self.timeout_every) {
-                return Err(io::Error::new(io::ErrorKind::WouldBlock, "dribble timeout"));
-            }
-            let k = self.chunk.min(self.data.len() - self.pos).min(buf.len());
-            buf[..k].copy_from_slice(&self.data[self.pos..self.pos + k]);
-            self.pos += k;
-            Ok(k)
-        }
-    }
-
-    #[test]
-    fn frame_reader_parses_bursts_and_survives_midframe_timeouts() {
-        let msgs: Vec<Message> = (0..50)
-            .map(|i| Message::Bcast {
-                round: i,
-                origin: (i % 5) as u32,
-                payload: Bytes::from(vec![i as u8; (i as usize * 7) % 300]),
-            })
-            .collect();
-        let mut wire = Vec::new();
-        for m in &msgs {
-            write_frame(&mut wire, m).unwrap();
-        }
-        // 3-byte chunks with a timeout every 4th read: every frame is
-        // split mid-header or mid-body many times over.
-        let mut src = Dribble { data: wire, pos: 0, chunk: 3, timeout_every: 4, reads: 0 };
-        let mut reader = FrameReader::new();
-        let mut out = Vec::new();
-        while out.len() < msgs.len() {
-            match reader.read_frame(&mut src).unwrap() {
-                Some(m) => out.push(m),
-                None => continue, // timeout: partial frame stays buffered
-            }
-        }
-        assert_eq!(out, msgs);
-    }
-
-    #[test]
-    fn frame_reader_grows_for_oversized_payloads() {
-        let big = Message::Bcast { round: 1, origin: 0, payload: Bytes::from(vec![3u8; 200_000]) };
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &big).unwrap();
-        let mut cursor = Cursor::new(wire);
-        let mut reader = FrameReader::new();
-        assert_eq!(reader.read_frame(&mut cursor).unwrap(), Some(big));
-    }
-
-    #[test]
-    fn frame_reader_reports_eof_and_corrupt_lengths() {
-        let mut reader = FrameReader::new();
-        let mut empty = Cursor::new(Vec::new());
-        assert!(reader.read_frame(&mut empty).is_err(), "EOF is an error");
-        let mut corrupt = Cursor::new([0xFFu8; 8].to_vec());
-        let mut reader = FrameReader::new();
-        let err = reader.read_frame(&mut corrupt).unwrap_err();
-        assert!(matches!(frame_fault(&err), Some(FrameFault::Oversize { .. })));
-    }
-
-    #[test]
-    fn frame_reader_detects_flipped_bit() {
-        let msg = Message::Bcast { round: 6, origin: 2, payload: Bytes::from(vec![1u8; 48]) };
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &msg).unwrap();
-        let mid = wire.len() / 2;
-        wire[mid] ^= 0x10;
-        let mut reader = FrameReader::new();
-        let err = reader.read_frame(&mut Cursor::new(wire)).unwrap_err();
-        assert!(is_corrupt_frame(&err), "flipped bit must classify as corrupt, got {err}");
-    }
-
-    #[test]
-    fn truncated_stream_errors() {
-        let msg = Message::Bcast { round: 1, origin: 0, payload: Bytes::from(vec![1u8; 64]) };
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &msg).unwrap();
-        wire.truncate(wire.len() - 10);
-        assert!(read_frame(&mut Cursor::new(wire)).is_err());
     }
 }

@@ -2,25 +2,16 @@
 //! [`crate::runtime::NodeRuntime`].
 //!
 //! The paper's implementation runs each server as a single libev event
-//! loop (§5). The first TCP runtime here translated that to blocking
-//! threads — accept + per-connection reader threads, a protocol thread,
-//! transient reconnector threads, and three heartbeat/FD threads —
-//! which costs ~`4·n·d` threads for an in-process cluster and collapses
-//! under round pipelining at `n = 16` on small machines: the kernel
-//! round-robins hundreds of runnable threads and every in-window round
-//! pays scheduling latency instead of overlapping it.
+//! loop (§5). Here a small pool of reactor threads (one per core by
+//! default, shared by every node of a [`crate::cluster::LocalCluster`])
+//! each runs an epoll loop over the nodes assigned to it. Everything
+//! one node does — accepting, handshakes, frame reads, coalesced
+//! vectored writes, non-blocking connects, reconnect backoff, heartbeat
+//! emission, failure-detector checks, grace/gate timers — happens on
+//! its one assigned reactor, so the per-node state needs no locking at
+//! all.
 //!
-//! This module restores the paper's shape: a small pool of reactor
-//! threads (one per core by default, shared by every node of a
-//! [`crate::cluster::LocalCluster`]), each running an epoll loop over
-//! the nodes assigned to it. Everything one node does — accepting,
-//! handshakes, frame reads, coalesced vectored writes, non-blocking
-//! connects, reconnect backoff, heartbeat emission, failure-detector
-//! checks, grace/gate timers — happens on its one assigned reactor, so
-//! the per-node state needs no locking at all, exactly like the old
-//! protocol thread but without the `O(n·d)` helpers around it.
-//!
-//! Per-link readiness state machines replace the helper threads:
+//! Each link is a readiness state machine:
 //!
 //! ```text
 //!             writable + SO_ERROR=0
@@ -33,22 +24,23 @@
 //!            exhausted        (bounded FrameQueue)
 //! ```
 //!
-//! Inbound connections run `InHandshake → In`, feeding the same
-//! [`crate::codec::FrameReader`] the reader threads used — a read that
-//! would block simply returns to the loop instead of parking a thread.
-//! Heartbeats and the ◇P failure detector are two timer entries on the
-//! same loop (`Δ_hb` sends, `Δ_hb/2` expiry sweeps), reusing
+//! Inbound connections run `InHandshake → In`: the 7-byte preamble is
+//! checked by [`crate::codec::parse_handshake`], then a streaming
+//! [`crate::codec::FrameReader`] parses frames — a read that would
+//! block simply returns to the loop. Heartbeats and the ◇P failure
+//! detector are two timer entries on the same loop (`Δ_hb` sends,
+//! `Δ_hb/2` expiry sweeps) over the node's own
 //! [`crate::heartbeat::HeartbeatTable`] and
-//! [`crate::heartbeat::AdaptiveTimeout`] semantics unchanged.
+//! [`crate::heartbeat::AdaptiveTimeout`].
 
 use crate::codec::{
-    encode_frame, is_corrupt_frame, write_handshake, FrameReader, HANDSHAKE_MAGIC, WIRE_VERSION,
+    encode_frame, encode_handshake, is_corrupt_frame, parse_handshake, FrameReader, HANDSHAKE_LEN,
 };
 use crate::heartbeat::{self, AdaptiveTimeout, HeartbeatTable};
 use crate::link::{BackoffPolicy, FrameQueue, LinkStats, WriteBuf};
 use crate::runtime::{
-    accept_retry_delay, link_seed, same_message, Delivery, NodeInput, RuntimeOptions,
-    DROP_PPM_SCALE,
+    accept_retry_delay, link_seed, same_message, Delivery, NodeInput, RuntimeOptions, APP_GRACE,
+    CONNECT_BACKOFF_CAP, DROP_PPM_SCALE,
 };
 use allconcur_core::config::Config;
 use allconcur_core::message::Message;
@@ -86,12 +78,8 @@ const READ_BATCH: usize = 256;
 const EVENTS_CAP: usize = 256;
 
 /// Deadline on one non-blocking connect attempt before it is torn down
-/// and retried under backoff (the old reconnector used the same 100 ms
-/// as its `connect_timeout`).
+/// and retried under backoff.
 const CONNECT_ATTEMPT_TIMEOUT: Duration = Duration::from_millis(100);
-
-/// Wire handshake length (`codec::write_handshake`).
-const HANDSHAKE_LEN: usize = 7;
 
 /// A shared pool of reactor threads. One per core by default
 /// ([`crate::cluster::LocalCluster`] sizes it `min(cores, n)`); a
@@ -185,12 +173,12 @@ impl EventLoopPool {
         let reactor = self.next.fetch_add(1, Ordering::Relaxed) % self.reactors.len().max(1);
         let key = self.next_key.fetch_add(1, Ordering::Relaxed);
         let Some(h) = self.reactors.get(reactor) else {
-            return Err(io::Error::new(io::ErrorKind::Other, "event-loop pool has no reactors"));
+            return Err(io::Error::other("event-loop pool has no reactors"));
         };
         let (ack_tx, ack_rx) = bounded(1);
         h.ctrl_tx
             .send(Ctrl::Register(key, Box::new(spec), ack_tx))
-            .map_err(|_| io::Error::new(io::ErrorKind::Other, "reactor thread is gone"))?;
+            .map_err(|_| io::Error::other("reactor thread is gone"))?;
         let _ = h.waker.wake();
         match ack_rx.recv_timeout(Duration::from_secs(10)) {
             Ok(Ok(())) => Ok(NodeToken { reactor, key }),
@@ -469,8 +457,7 @@ enum Hold {
     Until(Instant),
 }
 
-/// One outbound link's state machine plus timers. The reconnect
-/// backoff that used to live in a transient reconnector thread is now
+/// One outbound link's state machine plus timers. Reconnect backoff is
 /// the (`next_attempt`, `attempt_deadline`, `attempt`) triple driven by
 /// the loop's timer sweep.
 struct OutLink {
@@ -516,9 +503,9 @@ struct Conn {
     kind: ConnKind,
 }
 
-/// One node's complete state, owned by exactly one reactor thread —
-/// the old `ProtocolState` plus the socket state machines that used to
-/// be threads.
+/// One node's complete state, owned by exactly one reactor thread: the
+/// protocol state machine, its sockets' readiness state machines, and
+/// the failure detector.
 struct NodeState {
     id: ServerId,
     key: u64,
@@ -530,10 +517,9 @@ struct NodeState {
     /// per loop iteration (one `writev` per ready link per batch).
     dirty: Vec<ServerId>,
     /// Peer `BCAST`s held back while their round awaits the
-    /// application's submission (see `RuntimeOptions::app_grace`).
+    /// application's submission (see `runtime::APP_GRACE`).
     deferred: VecDeque<(ServerId, Message)>,
     gate_deadline: Option<Instant>,
-    app_grace: Duration,
     drop_ppm: HashMap<ServerId, u32>,
     drop_rng: u64,
     flip_ppm: HashMap<ServerId, u32>,
@@ -542,7 +528,6 @@ struct NodeState {
     link_queue_high: usize,
     link_queue_low: usize,
     connect_attempts: u32,
-    suspect_on_disconnect: bool,
     stats: Arc<LinkStats>,
     adaptive: AdaptiveTimeout,
     /// Live inbound connections per predecessor (a reconnect can
@@ -569,7 +554,7 @@ struct NodeState {
     fd_poll: Duration,
     next_hb_send: Instant,
     next_fd_check: Instant,
-    hb_table: Arc<HeartbeatTable>,
+    hb_table: HeartbeatTable,
     /// Application hung up or the node was shut down: the reactor reaps
     /// it (closing every socket) at the end of the iteration.
     dead: bool,
@@ -626,7 +611,7 @@ impl NodeState {
                     hold: None,
                     policy: BackoffPolicy::new(
                         opts.connect_backoff,
-                        opts.connect_backoff_cap,
+                        CONNECT_BACKOFF_CAP,
                         link_seed(id, succ),
                     ),
                     addr,
@@ -652,7 +637,6 @@ impl NodeState {
             dirty: Vec::new(),
             deferred: VecDeque::new(),
             gate_deadline: None,
-            app_grace: opts.app_grace,
             drop_ppm: HashMap::new(),
             drop_rng: 0x9e37_79b9_7f4a_7c15 ^ (id as u64 + 1),
             flip_ppm: HashMap::new(),
@@ -661,7 +645,6 @@ impl NodeState {
             link_queue_high: opts.link_queue_high,
             link_queue_low: opts.link_queue_low,
             connect_attempts: opts.connect_attempts,
-            suspect_on_disconnect: opts.suspect_on_disconnect,
             stats,
             adaptive: AdaptiveTimeout::new(opts.fd.timeout, adaptive_cap.max(opts.fd.timeout)),
             reader_counts: HashMap::new(),
@@ -686,7 +669,7 @@ impl NodeState {
         })
     }
 
-    // --- protocol core (ported from the threaded ProtocolState) -------
+    // --- protocol core ------------------------------------------------
 
     /// Feed one event and act on the outputs. (Payloads submitted
     /// beyond the current round queue inside the state machine and open
@@ -825,7 +808,7 @@ impl NodeState {
         }
         if self.deferred.iter().any(|&(f, _)| f == from) || self.gated(&msg) {
             if self.gate_deadline.is_none() {
-                self.gate_deadline = Some(Instant::now() + self.app_grace);
+                self.gate_deadline = Some(Instant::now() + APP_GRACE);
             }
             self.deferred.push_back((from, msg));
         } else {
@@ -869,7 +852,7 @@ impl NodeState {
         if self.deferred.is_empty() {
             self.gate_deadline = None;
         } else if self.gate_deadline.is_none() {
-            self.gate_deadline = Some(Instant::now() + self.app_grace);
+            self.gate_deadline = Some(Instant::now() + APP_GRACE);
         }
     }
 
@@ -896,12 +879,9 @@ impl NodeState {
             return;
         }
         if self.link_grace.is_zero() {
-            // Degenerate configuration: the pre-resilience immediate
-            // suspicion path.
-            if self.suspect_on_disconnect {
-                self.stats.on_suspicion();
-                self.process(Event::Suspect { suspect: from });
-            }
+            // Degenerate configuration: suspect immediately.
+            self.stats.on_suspicion();
+            self.process(Event::Suspect { suspect: from });
             return;
         }
         self.reader_grace.entry(from).or_insert_with(|| Instant::now() + self.link_grace);
@@ -1098,9 +1078,7 @@ impl NodeState {
             }
         };
         let mut wb = WriteBuf::new();
-        let mut hs = Vec::with_capacity(HANDSHAKE_LEN);
-        let _ = write_handshake(&mut hs, self.id); // Vec write: infallible
-        wb.push(Bytes::from(hs));
+        wb.push(Bytes::copy_from_slice(&encode_handshake(self.id)));
         let mut replayed = 0u64;
         if let Some(link) = self.links.get_mut(&to) {
             while let Some(f) = link.queue.pop() {
@@ -1200,11 +1178,8 @@ impl NodeState {
                     }
                 }
                 if result.is_none() && *got == HANDSHAKE_LEN {
-                    result = if buf[..2] == HANDSHAKE_MAGIC && buf[2] == WIRE_VERSION {
-                        Some(Some(ServerId::from_le_bytes([buf[3], buf[4], buf[5], buf[6]])))
-                    } else {
-                        Some(None) // bad magic/version: drop the conn
-                    };
+                    // A bad magic/version drops the conn.
+                    result = Some(parse_handshake(buf).ok());
                 }
             }
         }
@@ -1646,12 +1621,10 @@ impl NodeState {
             self.reader_grace.iter().filter(|(_, &d)| d <= now).map(|(&k, _)| k).collect();
         for from in suspects {
             self.reader_grace.remove(&from);
-            if self.suspect_on_disconnect {
-                self.stats.on_suspicion();
-                self.process(Event::Suspect { suspect: from });
-                if self.dead {
-                    return;
-                }
+            self.stats.on_suspicion();
+            self.process(Event::Suspect { suspect: from });
+            if self.dead {
+                return;
             }
         }
         // App-grace gate expiry.
@@ -1716,6 +1689,7 @@ impl NodeState {
         if self.next_fd_check <= now {
             self.next_fd_check = now + self.fd_poll;
             for s in self.hb_table.expired(self.adaptive.current()) {
+                self.stats.on_suspicion();
                 self.process(Event::Suspect { suspect: s });
                 if self.dead {
                     return;

@@ -437,7 +437,8 @@ impl LinkStats {
         self.healed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A disconnect grace expired and escalated to a suspicion.
+    /// The link layer raised a suspicion: a disconnect grace expired,
+    /// or a predecessor's heartbeats timed out.
     pub fn on_suspicion(&self) {
         self.suspicions.fetch_add(1, Ordering::Relaxed);
     }
@@ -492,7 +493,8 @@ pub struct LinkStatsSnapshot {
     pub reader_disconnects: u64,
     /// Disconnect graces cancelled by a predecessor reconnecting.
     pub healed: u64,
-    /// Disconnect graces that expired into suspicions.
+    /// Suspicions raised by the link layer: expired disconnect graces
+    /// plus heartbeat timeouts.
     pub suspicions: u64,
     /// Inbound frames rejected by the CRC/decode check (each dropped
     /// the connection, which then healed through reader grace).

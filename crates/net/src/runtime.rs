@@ -13,7 +13,7 @@
 //! event-loop thread per server process, as deployed in the paper);
 //! [`crate::cluster::LocalCluster`] shares one pool across every
 //! in-process node via [`NodeRuntime::start_on`], keeping the whole
-//! cluster at O(cores) threads instead of the old O(n·d).
+//! cluster at O(cores) threads.
 //!
 //! Message flow direction matches the overlay: a server *connects out*
 //! to its successors (it sends to them) and *accepts in* from its
@@ -97,19 +97,12 @@ pub(crate) const DROP_PPM_SCALE: u64 = 1_000_000;
 pub struct RuntimeOptions {
     /// FD timing.
     pub fd: FdParams,
-    /// Escalate a predecessor's TCP disconnect into a suspicion once
-    /// the `link_grace` budget expires without a reconnect (sound under
-    /// fail-stop because healthy overlay connections are never closed
-    /// for long; much faster than waiting `Δ_to` for genuinely dead
-    /// peers).
-    pub suspect_on_disconnect: bool,
     /// Retry budget while establishing successor connections.
     pub connect_attempts: u32,
     /// Base delay of the capped-exponential connect/reconnect backoff
-    /// (see [`crate::link::BackoffPolicy`]).
+    /// (see [`crate::link::BackoffPolicy`]; capped at
+    /// `CONNECT_BACKOFF_CAP`).
     pub connect_backoff: Duration,
-    /// Cap on the exponential backoff component.
-    pub connect_backoff_cap: Duration,
     /// How long a disconnected link (either direction) may stay in its
     /// grace period before escalating: a Degraded writer drops to Down
     /// and a reader disconnect becomes a suspicion. Under-budget flaps
@@ -121,62 +114,61 @@ pub struct RuntimeOptions {
     /// Low watermark: a saturated queue resumes accepting only after
     /// draining below this (hysteresis).
     pub link_queue_low: usize,
-    /// Capacity of the node's input channel.
-    /// [`NodeRuntime::broadcast`] fails fast when it fills, surfacing
-    /// saturation to the application as a typed `Busy` upstream.
-    pub input_queue_depth: usize,
-    /// How long the protocol holds back peers' `BCAST`s for a round
-    /// the application has not submitted a payload for yet.
-    ///
-    /// Without the gate, a peer's round-`r` broadcast racing ahead of the
-    /// local `broadcast()` call makes Algorithm 1 line 15 answer with an
-    /// *empty* message and silently defers the application's payload to
-    /// round `r+1`. Submitting before or promptly after a round opens
-    /// (as [`crate::cluster::LocalCluster::run_round`] and the `Cluster`
-    /// facade do) never hits the deadline; a server left without a
-    /// submission falls back to the empty broadcast after the grace, so
-    /// liveness is preserved.
-    ///
-    /// The gate is **round-aware**: a `BCAST` is held back only while
-    /// its round is genuinely unsubmitted — at or past
-    /// [`allconcur_core::server::Server::next_unsubmitted_round`], i.e.
-    /// the application has neither broadcast nor queued a payload
-    /// covering it. Rounds the application already submitted ahead for
-    /// (pipelined submissions under a `round_window > 1`) flow through
-    /// undelayed, so the grace costs pipelined workloads nothing.
-    pub app_grace: Duration,
     /// Round-pipelining window `W` (default 1 — sequential rounds): how
     /// many consecutive rounds each server keeps in flight. Larger
     /// windows let dissemination of round `r + 1` proceed while round
     /// `r` completes, amortising the network round-trip — rounds/sec
     /// scales with `W` until CPU-bound (see the `tcp_rounds` bench).
     pub round_window: usize,
-    /// Reactor threads a standalone [`NodeRuntime::start`] spins up for
-    /// its private pool (`0` = one, the paper's one-loop-per-server
-    /// shape). Nodes started on a shared pool via
-    /// [`NodeRuntime::start_on`] ignore this —
-    /// [`crate::cluster::LocalCluster`] sizes its pool `min(cores, n)`.
-    pub loop_threads: usize,
 }
 
 impl Default for RuntimeOptions {
     fn default() -> Self {
         RuntimeOptions {
             fd: FdParams::fast(),
-            suspect_on_disconnect: true,
             connect_attempts: 100,
             connect_backoff: Duration::from_millis(10),
-            connect_backoff_cap: Duration::from_millis(160),
             link_grace: Duration::from_millis(400),
             link_queue_high: 1024,
             link_queue_low: 256,
-            input_queue_depth: 4096,
-            app_grace: Duration::from_millis(400),
             round_window: 1,
-            loop_threads: 0,
         }
     }
 }
+
+/// Cap on the exponential component of the connect/reconnect backoff.
+pub(crate) const CONNECT_BACKOFF_CAP: Duration = Duration::from_millis(160);
+
+/// Capacity of a node's input channel. [`NodeRuntime::broadcast`] fails
+/// fast when it fills, surfacing saturation to the application as a
+/// typed `Busy` upstream.
+const INPUT_QUEUE_DEPTH: usize = 4096;
+
+/// How long the protocol holds back peers' `BCAST`s for a round the
+/// application has not submitted a payload for yet.
+///
+/// Without the gate, a peer's round-`r` broadcast racing ahead of the
+/// local `broadcast()` call makes Algorithm 1 line 15 answer with an
+/// *empty* message and silently defers the application's payload to
+/// round `r+1`. Submitting before or promptly after a round opens (as
+/// the `Cluster` facade does) never hits the deadline; a server left
+/// without a submission falls back to the empty broadcast after the
+/// grace, so liveness is preserved.
+///
+/// The gate is **round-aware**: a `BCAST` is held back only while its
+/// round is genuinely unsubmitted — at or past
+/// [`allconcur_core::server::Server::next_unsubmitted_round`], i.e. the
+/// application has neither broadcast nor queued a payload covering it.
+/// Rounds the application already submitted ahead for (pipelined
+/// submissions under a `round_window > 1`) flow through undelayed, so
+/// the grace costs pipelined workloads nothing.
+pub(crate) const APP_GRACE: Duration = Duration::from_millis(400);
+
+/// Reactor threads of a standalone [`NodeRuntime::start`]'s private
+/// pool: one, the paper's one-event-loop-per-server shape.
+/// [`crate::cluster::LocalCluster`] sizes its shared pool `min(cores, n)`
+/// instead.
+const STANDALONE_LOOP_THREADS: usize = 1;
 
 /// Backoff applied to a listener whose `accept` failed with a real
 /// error (typically fd exhaustion): capped exponential in the number of
@@ -218,7 +210,7 @@ impl NodeRuntime {
         udp_addrs: Vec<SocketAddr>,
         opts: RuntimeOptions,
     ) -> std::io::Result<NodeRuntime> {
-        let pool = EventLoopPool::new(opts.loop_threads.max(1))?;
+        let pool = EventLoopPool::new(STANDALONE_LOOP_THREADS)?;
         NodeRuntime::start_on(&pool, id, cfg, listener, udp, tcp_addrs, udp_addrs, opts)
     }
 
@@ -236,7 +228,7 @@ impl NodeRuntime {
         udp_addrs: Vec<SocketAddr>,
         opts: RuntimeOptions,
     ) -> std::io::Result<NodeRuntime> {
-        let (input_tx, input_rx) = bounded::<NodeInput>(opts.input_queue_depth.max(8));
+        let (input_tx, input_rx) = bounded::<NodeInput>(INPUT_QUEUE_DEPTH);
         // Deliveries are consumed by the application at its own pace and
         // must never stall the reactor mid-round.
         // lint:allow(bounded_queues): delivery backlog is bounded upstream by rsm admission control; blocking the protocol thread on a slow application consumer would deadlock rounds cluster-wide

@@ -9,7 +9,7 @@
 //! reproduce the stored checksum.
 
 use allconcur_core::message::Message;
-use allconcur_net::codec::{write_frame, FrameReader};
+use allconcur_net::codec::{encode_frame, FrameReader};
 use bytes::Bytes;
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -33,11 +33,7 @@ fn build_messages(payload_lens: &[usize]) -> Vec<Message> {
 }
 
 fn wire_of(msgs: &[Message]) -> Vec<u8> {
-    let mut wire = Vec::new();
-    for m in msgs {
-        write_frame(&mut wire, m).expect("encode");
-    }
-    wire
+    msgs.iter().flat_map(|m| encode_frame(m).expect("encode").to_vec()).collect()
 }
 
 /// Parse `wire` to completion: the messages recovered before the first

@@ -1,11 +1,11 @@
 //! Direct unit tests for `codec::FrameReader`: burst parsing, frames
-//! split across arbitrarily small reads, and the mid-frame read-timeout
-//! desync that `read_frame` + `read_exact` used to suffer (a timeout
-//! between the length prefix and the body lost the prefix and
-//! desynchronised the stream — fixed by the buffered reader in PR 4).
+//! split across arbitrarily small reads, and resumption after a read
+//! that would block mid-frame (a blocking length-then-body read loses
+//! the prefix when a timeout lands between the two and desynchronises
+//! the stream; the buffered reader keeps the partial bytes).
 
 use allconcur_core::message::Message;
-use allconcur_net::codec::{write_frame, FrameReader};
+use allconcur_net::codec::{encode_frame, FrameReader};
 use bytes::Bytes;
 use std::io::{self, Cursor, Read};
 
@@ -29,11 +29,7 @@ fn mixed_messages() -> Vec<Message> {
 }
 
 fn wire_of(msgs: &[Message]) -> Vec<u8> {
-    let mut wire = Vec::new();
-    for m in msgs {
-        write_frame(&mut wire, m).unwrap();
-    }
-    wire
+    msgs.iter().flat_map(|m| encode_frame(m).unwrap().to_vec()).collect()
 }
 
 /// Reader delivering at most `chunk` bytes per call, with scripted
@@ -171,7 +167,7 @@ fn eof_mid_frame_is_an_error_not_a_hang() {
 fn interleaved_reads_alternate_sources_without_state_bleed() {
     // Two independent readers on two streams driven alternately — the
     // per-connection state the runtime relies on (one FrameReader per
-    // reader thread) must not require global coordination.
+    // inbound connection) must not require global coordination.
     let msgs_a = mixed_messages();
     let msgs_b: Vec<Message> =
         (0..40).map(|i| Message::Bwd { round: i, origin: (i % 4) as u32 }).collect();

@@ -7,9 +7,10 @@
 //! a full deployment, and the assertions read the runtimes'
 //! [`LinkStatsSnapshot`] counters plus protocol-visible delivery order.
 
-#![allow(deprecated)] // recv_delivery: the lockstep shim is exactly what scripted tests want
+mod common;
 
 use allconcur_graph::standard::complete_digraph;
+use allconcur_net::heartbeat::FdParams;
 use allconcur_net::link::{connect_with_retry, BackoffPolicy, LinkStatsSnapshot};
 use allconcur_net::runtime::RuntimeOptions;
 use allconcur_net::LocalCluster;
@@ -31,8 +32,7 @@ fn run_checked_round(cluster: &LocalCluster, round: u64) {
     }
     let mut reference = None;
     for i in 0..N as u32 {
-        let d = cluster
-            .recv_delivery(i, ROUND_TIMEOUT)
+        let d = common::recv_delivery(cluster, i, ROUND_TIMEOUT)
             .unwrap_or_else(|| panic!("server {i} timed out in round {round}"));
         assert_eq!(d.round, round, "server {i}");
         assert_eq!(d.messages.len(), N, "server {i} lost a message in round {round}");
@@ -43,22 +43,17 @@ fn run_checked_round(cluster: &LocalCluster, round: u64) {
     }
 }
 
-/// Poll server `id`'s counters until `pred` holds or `deadline` passes.
+/// Poll server `id`'s counters until `pred` holds (10 s budget).
 fn wait_stats(
     cluster: &LocalCluster,
     id: u32,
     what: &str,
     pred: impl Fn(&LinkStatsSnapshot) -> bool,
 ) -> LinkStatsSnapshot {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let s = cluster.link_stats(id);
-        if pred(&s) {
-            return s;
-        }
-        assert!(Instant::now() < deadline, "server {id} never reached `{what}`: {s:?}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    common::poll_until(Duration::from_secs(10), || Some(cluster.link_stats(id)).filter(&pred))
+        .unwrap_or_else(|| {
+            panic!("server {id} never reached `{what}`: {:?}", cluster.link_stats(id))
+        })
 }
 
 #[test]
@@ -110,6 +105,25 @@ fn flap_over_grace_escalates_to_exactly_one_suspicion() {
     std::thread::sleep(Duration::from_millis(600)); // outlives the flap + reconnect
     let total: u64 = (0..N as u32).map(|id| cluster.link_stats(id).suspicions).sum();
     assert_eq!(total, 1, "an over-grace flap must cost exactly one suspicion");
+    cluster.shutdown();
+}
+
+#[test]
+fn heartbeat_timeout_counts_a_suspicion() {
+    // A grace far beyond the wait budget: only the heartbeat FD can
+    // suspect the crashed server within it.
+    let opts = RuntimeOptions {
+        link_grace: Duration::from_secs(30),
+        fd: FdParams {
+            heartbeat_period: Duration::from_millis(10),
+            timeout: Duration::from_millis(200),
+        },
+        ..RuntimeOptions::default()
+    };
+    let mut cluster = LocalCluster::spawn(complete_digraph(N), opts).unwrap();
+    run_checked_round(&cluster, 0);
+    cluster.kill(3);
+    wait_stats(&cluster, 0, "heartbeat-timeout suspicion", |s| s.suspicions >= 1);
     cluster.shutdown();
 }
 

@@ -13,7 +13,7 @@
 //! * a whole in-process cluster runs on O(cores) reactor threads, not
 //!   the O(n·d) the thread-per-socket runtime needed.
 
-#![allow(deprecated)] // recv_delivery: the lockstep shim is exactly what scripted tests want
+mod common;
 
 use allconcur_core::message::Message;
 use allconcur_net::codec::{encode_frame, FrameReader};
@@ -294,8 +294,7 @@ fn event_loop_delivery_stream_matches_golden_hash() {
             assert!(cluster.broadcast(i as u32, payload), "server {i} shed round {round}");
         }
         for (i, stream) in streams.iter_mut().enumerate() {
-            let d = cluster
-                .recv_delivery(i as u32, Duration::from_secs(20))
+            let d = common::recv_delivery(&cluster, i as u32, Duration::from_secs(20))
                 .unwrap_or_else(|| panic!("server {i} timed out in round {round}"));
             assert_eq!(d.round, round);
             stream.push(d);
@@ -345,8 +344,7 @@ fn cluster_thread_count_is_bounded_by_cores_not_topology() {
     }
     let mut reference = None;
     for i in 0..n as u32 {
-        let d = cluster
-            .recv_delivery(i, Duration::from_secs(30))
+        let d = common::recv_delivery(&cluster, i, Duration::from_secs(30))
             .unwrap_or_else(|| panic!("server {i} timed out"));
         assert_eq!(d.round, 0);
         assert_eq!(d.messages.len(), n);

@@ -489,7 +489,7 @@ impl<S: StateMachine> Service<S> {
         for (s, disk) in store.into_disks().into_iter().enumerate() {
             match Wal::recover_or_rot(disk, cfg.clone()).map_err(dur_err)? {
                 RecoverOutcome::Intact(wal, rec) => {
-                    wals.push(wal);
+                    wals.push(*wal);
                     recs.push(rec);
                 }
                 RecoverOutcome::Rotted { disk, rot } => {
@@ -1339,7 +1339,7 @@ impl<S: StateMachine> Service<S> {
                 digest = fold_digest(digest, round, *origin, payload);
             }
             self.digests[at as usize] = digest;
-            if (round + 1) % self.audit_interval == 0 {
+            if (round + 1).is_multiple_of(self.audit_interval) {
                 self.audit_log[at as usize].push_back((round, digest));
                 self.check_audits();
             }

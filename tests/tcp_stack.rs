@@ -1,7 +1,7 @@
 //! Integration tests over the real TCP transport, driven through the
 //! unified `Cluster` facade: the same protocol state machine as the
-//! simulator, but on 127.0.0.1 sockets with OS threads, UDP heartbeats,
-//! and disconnect detection.
+//! simulator, but on 127.0.0.1 sockets driven by the epoll reactor
+//! pool, with UDP heartbeats and disconnect detection.
 
 use allconcur::prelude::*;
 use allconcur_graph::binomial::binomial_graph;
