@@ -1,13 +1,14 @@
-//! Sweep a range of nemesis seeds on the simulator and print one line
-//! per scenario — the quick way to vet new seeds before pinning them in
-//! a suite, or to reproduce a CI failure locally:
+//! Sweep a range of nemesis seeds, in every scenario family, on the
+//! simulator and print one line per scenario — the quick way to vet new
+//! seeds before pinning them in the suite, or to reproduce a CI failure
+//! locally:
 //!
 //! ```text
 //! cargo run -p allconcur-nemesis --example sweep            # seeds 0..30
 //! cargo run -p allconcur-nemesis --example sweep -- 120 150 # seeds 120..150
 //! ```
 
-use allconcur_nemesis::Scenario;
+use allconcur_nemesis::{Family, Scenario};
 
 fn main() {
     let args: Vec<u64> =
@@ -18,16 +19,15 @@ fn main() {
         [start, end, ..] => (*start, *end),
     };
     let mut failures = 0;
-    for seed in start..end {
-        let scenario = Scenario::generate(seed);
-        match scenario.run_sim() {
-            Ok(r) => println!(
-                "seed {seed}: {scenario} OK rounds={} resolved={} failed={} epochs={} dropped={}",
-                r.rounds, r.resolved, r.failed, r.epochs, r.dropped
-            ),
-            Err(e) => {
-                failures += 1;
-                println!("seed {seed}: {scenario} FAILED: {e}");
+    for family in Family::ALL {
+        for seed in start..end {
+            let scenario = Scenario::generate(family, seed);
+            match scenario.run_sim() {
+                Ok(r) => println!("{family:?} seed {seed}: {scenario} OK {r:?}"),
+                Err(e) => {
+                    failures += 1;
+                    println!("{family:?} seed {seed}: {scenario} FAILED: {e}");
+                }
             }
         }
     }

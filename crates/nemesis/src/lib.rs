@@ -18,31 +18,34 @@
 //!   uniform agreement, integrity, total order) plus RSM snapshot
 //!   convergence, after **every** scenario;
 //! * [`Scenario`] — seeded composition of topology × round window ×
-//!   plan: `Scenario::generate(seed)` is fully deterministic, so any CI
-//!   failure replays byte-for-byte from its printed seed;
-//! * durability nemesis — [`Scenario::generate_durability`] schedules
-//!   whole-cluster power losses with byte-exact torn tail writes and
-//!   disk-slow fsync spikes against WAL-backed deployments, recovers
-//!   them from the logs alone, and asserts the
-//!   no-lost-acknowledged-command property
-//!   ([`PropertyViolation::AcknowledgedLost`]) after every recovery;
-//! * resilience nemesis — [`Scenario::generate_resilience`] schedules
-//!   transient link flaps that must heal with zero membership removals
-//!   ([`PropertyViolation::MembershipRemovedUnderGrace`]) and open-loop
-//!   overload bursts whose every internal shed must surface as a typed
-//!   `Busy` ([`PropertyViolation::SilentShed`]);
-//! * integrity nemesis — [`Scenario::generate_integrity`] schedules wire
-//!   bit-flip storms (every flip CRC-detected, never delivered), silent
-//!   replica poison that the divergence audit must quarantine and heal
-//!   ([`PropertyViolation::QuarantineStuck`]), and durable mid-log WAL
-//!   rot that recovery must detect and rebuild from peers — any
-//!   corruption leaking past its detection boundary is
-//!   [`PropertyViolation::SilentCorruption`].
+//!   plan: `Scenario::generate(family, seed)` is fully deterministic, so
+//!   any CI failure replays byte-for-byte from its printed family and
+//!   seed. Each [`Family`] is one table row — its fault classes and its
+//!   round-window stride:
+//!   * [`Family::Classic`] — partitions, crash-restart, message loss,
+//!     delay spikes, churn;
+//!   * [`Family::Durability`] — whole-cluster power losses with
+//!     byte-exact torn tail writes and disk-slow fsync spikes against
+//!     WAL-backed deployments, recovered from the logs alone and checked
+//!     against the no-lost-acknowledged-command property
+//!     ([`PropertyViolation::AcknowledgedLost`]) after every recovery;
+//!   * [`Family::Resilience`] — transient link flaps that must heal with
+//!     zero membership removals
+//!     ([`PropertyViolation::MembershipRemovedUnderGrace`]) and open-loop
+//!     overload bursts whose every internal shed must surface as a typed
+//!     `Busy` ([`PropertyViolation::SilentShed`]);
+//!   * [`Family::Integrity`] — wire bit-flip storms (every flip
+//!     CRC-detected, never delivered), silent replica poison that the
+//!     divergence audit must quarantine and heal
+//!     ([`PropertyViolation::QuarantineStuck`]), and durable mid-log WAL
+//!     rot that recovery must detect and rebuild from peers — any
+//!     corruption leaking past its detection boundary is
+//!     [`PropertyViolation::SilentCorruption`].
 //!
 //! ```
-//! use allconcur_nemesis::Scenario;
+//! use allconcur_nemesis::{Family, Scenario};
 //!
-//! let scenario = Scenario::generate(7);
+//! let scenario = Scenario::generate(Family::Classic, 7);
 //! let report = scenario.run_sim().unwrap_or_else(|e| panic!("{scenario} failed: {e}"));
 //! assert!(report.rounds > 0);
 //! ```
@@ -53,4 +56,4 @@ pub mod scenario;
 
 pub use checker::{uid_command, EpochRecord, PropertyChecker, PropertyViolation};
 pub use plan::{NemesisAction, NemesisPlan};
-pub use scenario::{FaultClass, Scenario, ScenarioError, ScenarioReport};
+pub use scenario::{Family, FaultClass, Scenario, ScenarioError, ScenarioReport};

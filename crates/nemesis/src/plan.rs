@@ -41,7 +41,7 @@ pub enum NemesisAction {
     },
     /// Power-fail the **whole deployment** at once, then recover it from
     /// its write-ahead logs alone. Requires a durability-enabled
-    /// scenario ([`crate::Scenario::generate_durability`]) and a
+    /// scenario ([`crate::Family::Durability`]) and a
     /// rebuildable backend (`run_sim`); the executor accounts every
     /// outstanding command at the crash instant (durably acknowledged →
     /// resolved, anything else → a typed loss), injects the scheduled

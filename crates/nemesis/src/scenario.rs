@@ -1,10 +1,11 @@
 //! Seeded scenario generation and execution.
 //!
 //! A [`Scenario`] composes **topology × round window × nemesis plan**
-//! deterministically from one `u64` seed: `Scenario::generate(seed)`
-//! always yields the same overlay, the same fault schedule, and (on the
-//! simulated backend) the same execution byte-for-byte — a CI failure
-//! replays exactly from its printed seed.
+//! deterministically from a [`Family`] and one `u64` seed:
+//! `Scenario::generate(family, seed)` always yields the same overlay,
+//! the same fault schedule, and (on the simulated backend) the same
+//! execution byte-for-byte — a CI failure replays exactly from its
+//! printed family and seed.
 //!
 //! Execution drives a typed `Service<KvStore>` over the [`Cluster`]
 //! facade: every tick submits one uniquely-keyed command through each
@@ -23,7 +24,7 @@ use allconcur_core::config::FdMode;
 use allconcur_core::membership::plan_reconfiguration;
 use allconcur_core::replica::{KvCommand, KvResponse, KvStore};
 use allconcur_core::ServerId;
-use allconcur_durability::{DurabilityConfig, DurabilityStore, MemDisk, VirtualDisk};
+use allconcur_durability::{DurabilityConfig, DurabilityStore, MemDisk, MidLogRot, VirtualDisk};
 use allconcur_graph::gs::gs_digraph;
 use allconcur_graph::standard::complete_digraph;
 use allconcur_graph::{Digraph, ReliabilityModel};
@@ -39,8 +40,9 @@ use std::time::Duration;
 /// Budget for the settle-everything barrier at epoch boundaries.
 const SYNC_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// The five generated fault families, spanning the adversarial regimes
-/// of the companion formal-spec paper's schedules.
+/// The eleven generated fault classes, grouped into four [`Family`]s,
+/// spanning the adversarial regimes of the companion formal-spec paper's
+/// schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
     /// Symmetric two-group partition, healed mid-run.
@@ -55,42 +57,79 @@ pub enum FaultClass {
     Churn,
     /// Whole-cluster power loss with torn tail writes and disk-slow
     /// fsync spikes, recovered from the write-ahead logs alone.
-    /// Generated by [`Scenario::generate_durability`], never by
-    /// [`Scenario::generate`] (whose seed → class mapping is pinned).
     KillAllRecover,
     /// Transient directed-link outages that stay within the transport's
     /// grace budget: the link heals through reconnection, frames replay,
-    /// and **no server loses its membership**. Generated by
-    /// [`Scenario::generate_resilience`], never by [`Scenario::generate`]
-    /// (whose seed → class mapping is pinned).
+    /// and **no server loses its membership**.
     LinkFlap,
     /// Open-loop overload: submission bursts far beyond the round
     /// pipeline's capacity, with a tight admission cap, so the service
     /// **must** shed — and every shed must surface as a typed `Busy`.
-    /// Generated by [`Scenario::generate_resilience`], never by
-    /// [`Scenario::generate`].
     Overload,
     /// Wire corruption storm: probabilistic bit flips on a few overlay
     /// links, every one CRC-detected and discarded — the run must end
     /// with converged snapshots, zero replica divergences, and the flip
-    /// counter proving the storm was real. Generated by
-    /// [`Scenario::generate_integrity`], never by [`Scenario::generate`]
-    /// (whose seed → class mapping is pinned).
+    /// counter proving the storm was real.
     BitFlip,
     /// Silent replica corruption: one replica's state is poisoned
     /// outside agreement; the divergence audit must catch it at a
     /// digest cross-check, quarantine it typed, heal it from a peer
     /// snapshot, and reconverge
-    /// ([`PropertyChecker::check_quarantine_converges`]). Generated by
-    /// [`Scenario::generate_integrity`], never by [`Scenario::generate`].
+    /// ([`PropertyChecker::check_quarantine_converges`]).
     Divergence,
     /// Durable mid-log rot: one server's write-ahead log gets a bit
     /// flipped in acknowledged history, then the whole deployment
     /// power-fails. Recovery must detect the rot, refuse to trim, and
     /// rebuild the server from its peers — no acknowledged command lost
-    /// ([`PropertyChecker::check_rot_detected`]). Generated by
-    /// [`Scenario::generate_integrity`], never by [`Scenario::generate`].
+    /// ([`PropertyChecker::check_rot_detected`]).
     DiskRot,
+}
+
+/// A scenario family: which fault classes [`Scenario::generate`] cycles
+/// through and how the round window advances with the seed.
+///
+/// | family | classes (`seed % len`) | window stride |
+/// |---|---|---|
+/// | `Classic` | partition+heal, crash-restart, message-loss, delay-spike, churn | 5 |
+/// | `Durability` | kill-all-recover | 1 |
+/// | `Resilience` | link-flap, overload | 1 |
+/// | `Integrity` | bit-flip, divergence, disk-rot | 3 |
+///
+/// The window is `[1, 4, 8][(seed / stride) % 3]`, so the first
+/// `len × 3` seeds of a family cover its classes × {1, 4, 8}.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// Partitions, crashes, link loss and delay, churn.
+    Classic,
+    /// Whole-cluster power loss recovered from the write-ahead logs.
+    Durability,
+    /// Transient link flaps and open-loop overload.
+    Resilience,
+    /// Wire bit flips, silent replica poison, durable WAL rot.
+    Integrity,
+}
+
+impl Family {
+    /// Every family, in pinned-seed order.
+    pub const ALL: [Family; 4] =
+        [Family::Classic, Family::Durability, Family::Resilience, Family::Integrity];
+
+    /// The family's table row: its fault classes and its window stride.
+    fn row(self) -> (&'static [FaultClass], u64) {
+        use FaultClass::*;
+        match self {
+            Family::Classic => (&[PartitionHeal, CrashRestart, MessageLoss, DelaySpike, Churn], 5),
+            Family::Durability => (&[KillAllRecover], 1),
+            Family::Resilience => (&[LinkFlap, Overload], 1),
+            Family::Integrity => (&[BitFlip, Divergence, DiskRot], 3),
+        }
+    }
+
+    /// The fault classes this family generates; seed `s` gets
+    /// `classes()[s % len]`.
+    pub fn classes(self) -> &'static [FaultClass] {
+        self.row().0
+    }
 }
 
 impl std::fmt::Display for FaultClass {
@@ -274,58 +313,67 @@ impl From<PropertyViolation> for ScenarioError {
 }
 
 impl Scenario {
-    /// Deterministically compose a scenario from `seed`: the fault class
-    /// cycles with `seed % 5` and the round window with `(seed / 5) % 3`
-    /// over {1, 4, 8}, so any 15 consecutive seeds cover the full
-    /// class × window matrix; size, victims, links, rates, and timings
-    /// derive from the seeded RNG.
-    pub fn generate(seed: u64) -> Scenario {
+    /// Deterministically compose a scenario of `family` from `seed`. The
+    /// family's table row ([`Family`]) fixes the class
+    /// (`classes[seed % len]`) and the round window
+    /// (`[1, 4, 8][(seed / stride) % 3]`); the deployment size (6..=10)
+    /// and every victim, link, rate and timing derive from the seeded
+    /// RNG, so the same family and seed always yield the same scenario
+    /// and, on [`Scenario::run_sim`], the same execution byte-for-byte.
+    ///
+    /// Every scenario starts from 10 ticks of 3 ms, one submission per
+    /// live server per tick, and no admission, durability or audit
+    /// override; each class (see [`FaultClass`]) changes only what it
+    /// needs, drawing from the RNG in a fixed order so that every pinned
+    /// seed keeps its plan.
+    pub fn generate(family: Family, seed: u64) -> Scenario {
+        let (classes, stride) = family.row();
+        let class = classes[(seed % classes.len() as u64) as usize];
         let mut rng = StdRng::seed_from_u64(seed);
-        let class = match seed % 5 {
-            0 => FaultClass::PartitionHeal,
-            1 => FaultClass::CrashRestart,
-            2 => FaultClass::MessageLoss,
-            3 => FaultClass::DelaySpike,
-            _ => FaultClass::Churn,
-        };
-        let window = [1usize, 4, 8][(seed as usize / 5) % 3];
         let n = rng.gen_range(6..=10);
-        let overlay = overlay_for(n);
-        let mut ticks = 10u64;
-        let plan = match class {
+        let edges: Vec<(ServerId, ServerId)> = overlay_for(n).edges().collect();
+        let mut s = Scenario {
+            seed,
+            n,
+            window: [1usize, 4, 8][((seed / stride) % 3) as usize],
+            ticks: 10,
+            class,
+            plan: NemesisPlan::new(),
+            tick_budget: Duration::from_millis(3),
+            burst: 1,
+            admission: None,
+            durability: None,
+            audit_interval: None,
+        };
+        let victim = |rng: &mut StdRng| rng.gen_range(0..n as ServerId);
+        let edge = |rng: &mut StdRng| edges[rng.gen_range(0..edges.len())];
+        let fsync_every = |rng: &mut StdRng| [1u64, 4, 8][rng.gen_range(0..3usize)];
+        s.plan = match class {
             FaultClass::PartitionHeal => {
-                let split = rng.gen_range(1..n);
-                let groups = vec![
-                    (0..split as ServerId).collect::<Vec<_>>(),
-                    (split as ServerId..n as ServerId).collect::<Vec<_>>(),
-                ];
+                let split = rng.gen_range(1..n) as ServerId;
+                let groups = vec![(0..split).collect(), (split..n as ServerId).collect()];
                 let cut: u64 = rng.gen_range(2..=3);
                 let heal = cut + rng.gen_range(2u64..=4);
                 NemesisPlan::new()
                     .at(cut, NemesisAction::Fault(FaultCommand::Partition { groups }))
                     .at(heal, NemesisAction::Fault(FaultCommand::HealPartitions))
             }
-            FaultClass::CrashRestart => {
-                let victim = rng.gen_range(0..n as ServerId);
-                NemesisPlan::new()
-                    .at(2, NemesisAction::Crash { server: victim })
-                    .at(6, NemesisAction::Restart { joiners: 1 })
-            }
+            FaultClass::CrashRestart => NemesisPlan::new()
+                .at(2, NemesisAction::Crash { server: victim(&mut rng) })
+                .at(6, NemesisAction::Restart { joiners: 1 }),
             FaultClass::MessageLoss => {
-                let edges: Vec<(ServerId, ServerId)> = overlay.edges().collect();
                 let mut plan = NemesisPlan::new();
                 for _ in 0..2 {
-                    let (from, to) = edges[rng.gen_range(0..edges.len())];
+                    let (from, to) = edge(&mut rng);
                     let ppm = rng.gen_range(100_000..=400_000);
                     plan = plan.at(1, NemesisAction::Fault(FaultCommand::Drop { from, to, ppm }));
                 }
                 plan.at(8, NemesisAction::Fault(FaultCommand::ClearLinkFaults))
             }
             FaultClass::DelaySpike => {
-                let edges: Vec<(ServerId, ServerId)> = overlay.edges().collect();
                 let mut plan = NemesisPlan::new();
                 for _ in 0..2 {
-                    let (from, to) = edges[rng.gen_range(0..edges.len())];
+                    let (from, to) = edge(&mut rng);
                     let extra = Duration::from_micros(rng.gen_range(200..=2_000));
                     plan =
                         plan.at(1, NemesisAction::Fault(FaultCommand::Delay { from, to, extra }));
@@ -333,9 +381,8 @@ impl Scenario {
                 plan.at(7, NemesisAction::Fault(FaultCommand::ClearLinkFaults))
             }
             FaultClass::Churn => {
-                ticks = 14;
-                let v1 = rng.gen_range(0..n as ServerId);
-                let v2 = rng.gen_range(0..n as ServerId);
+                s.ticks = 14;
+                let (v1, v2) = (victim(&mut rng), victim(&mut rng));
                 NemesisPlan::new()
                     .at(2, NemesisAction::Crash { server: v1 })
                     .at(5, NemesisAction::Restart { joiners: 1 })
@@ -343,246 +390,94 @@ impl Scenario {
                     .at(11, NemesisAction::Restart { joiners: 1 })
             }
             FaultClass::KillAllRecover => {
-                unreachable!("kill-all-recover comes from Scenario::generate_durability")
-            }
-            FaultClass::LinkFlap | FaultClass::Overload => {
-                unreachable!("resilience classes come from Scenario::generate_resilience")
-            }
-            FaultClass::BitFlip | FaultClass::Divergence | FaultClass::DiskRot => {
-                unreachable!("integrity classes come from Scenario::generate_integrity")
-            }
-        };
-        Scenario {
-            seed,
-            n,
-            window,
-            ticks,
-            class,
-            plan,
-            tick_budget: Duration::from_millis(3),
-            burst: 1,
-            admission: None,
-            durability: None,
-            audit_interval: None,
-        }
-    }
-
-    /// Deterministically compose a **durability** scenario from `seed`:
-    /// [`FaultClass::KillAllRecover`] with an in-memory WAL per server
-    /// ([`DurabilityConfig::deterministic`], fsync window ∈ {1, 4, 8}),
-    /// a disk-slow fsync spike on one server, and one or two
-    /// whole-cluster power losses with byte-exact torn tail writes —
-    /// each recovered from the logs alone and checked against the
-    /// no-lost-acknowledged-command property. A separate generator so
-    /// the classic `seed % 5` class mapping of [`Scenario::generate`]
-    /// (and every CI seed pinned against it) stays stable.
-    pub fn generate_durability(seed: u64) -> Scenario {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let window = [1usize, 4, 8][(seed % 3) as usize];
-        let n = rng.gen_range(6..=10);
-        let fsync_every = [1u64, 4, 8][rng.gen_range(0..3usize)];
-        let slow = rng.gen_range(0..n as ServerId);
-        let torn = |rng: &mut StdRng| -> Vec<(ServerId, u64)> {
-            let mut specs = Vec::new();
-            for s in 0..n as ServerId {
+                s.durability = Some(DurabilityConfig::deterministic(fsync_every(&mut rng)));
+                let slow = victim(&mut rng);
+                // Each server independently keeps a torn prefix of its
+                // unsynced tail at the power loss.
+                let torn = |rng: &mut StdRng| -> Vec<(ServerId, u64)> {
+                    let mut specs = Vec::new();
+                    for s in 0..n as ServerId {
+                        if rng.gen_bool(0.5) {
+                            specs.push((s, rng.gen_range(0..64)));
+                        }
+                    }
+                    specs
+                };
+                let mut plan = NemesisPlan::new()
+                    .at(2, NemesisAction::DiskSlow { server: slow, on: true })
+                    .at(4, NemesisAction::DiskSlow { server: slow, on: false })
+                    .at(5, NemesisAction::KillAllAndRecover { torn: torn(&mut rng) });
                 if rng.gen_bool(0.5) {
-                    specs.push((s, rng.gen_range(0..64)));
+                    s.ticks = 13;
+                    plan = plan.at(9, NemesisAction::KillAllAndRecover { torn: torn(&mut rng) });
                 }
+                plan
             }
-            specs
-        };
-        let mut ticks = 10u64;
-        let mut plan = NemesisPlan::new()
-            .at(2, NemesisAction::DiskSlow { server: slow, on: true })
-            .at(4, NemesisAction::DiskSlow { server: slow, on: false })
-            .at(5, NemesisAction::KillAllAndRecover { torn: torn(&mut rng) });
-        if rng.gen_bool(0.5) {
-            ticks = 13;
-            plan = plan.at(9, NemesisAction::KillAllAndRecover { torn: torn(&mut rng) });
-        }
-        Scenario {
-            seed,
-            n,
-            window,
-            ticks,
-            class: FaultClass::KillAllRecover,
-            plan,
-            tick_budget: Duration::from_millis(3),
-            burst: 1,
-            admission: None,
-            durability: Some(DurabilityConfig::deterministic(fsync_every)),
-            audit_interval: None,
-        }
-    }
-
-    /// Deterministically compose a **resilience** scenario from `seed`:
-    /// even seeds exercise [`FaultClass::LinkFlap`] (two or three
-    /// transient directed-link outages, each well under the transport's
-    /// grace budget, that must heal with zero membership removals and
-    /// zero protocol-visible loss), odd seeds exercise
-    /// [`FaultClass::Overload`] (open-loop submission bursts beyond the
-    /// pipeline's capacity against a tight admission cap, so shedding is
-    /// guaranteed — and every shed must surface typed). The round window
-    /// cycles over {1, 4, 8} with `seed % 3`. A separate generator so
-    /// the classic `seed % 5` class mapping of [`Scenario::generate`]
-    /// (and every CI seed pinned against it) stays stable.
-    pub fn generate_resilience(seed: u64) -> Scenario {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let window = [1usize, 4, 8][(seed % 3) as usize];
-        let n = rng.gen_range(6..=10);
-        if seed.is_multiple_of(2) {
-            let overlay = overlay_for(n);
-            let edges: Vec<(ServerId, ServerId)> = overlay.edges().collect();
-            let mut plan = NemesisPlan::new();
-            for _ in 0..rng.gen_range(2..=3) {
-                let (from, to) = edges[rng.gen_range(0..edges.len())];
-                // Well under the tick budget (and any grace window), so
-                // the outage is transient by construction.
-                let down_for = Duration::from_micros(rng.gen_range(100..=1_000));
-                let tick = rng.gen_range(1..=6);
-                plan = plan
-                    .at(tick, NemesisAction::Fault(FaultCommand::LinkFlap { from, to, down_for }));
-            }
-            Scenario {
-                seed,
-                n,
-                window,
-                ticks: 10,
-                class: FaultClass::LinkFlap,
-                plan,
-                tick_budget: Duration::from_millis(3),
-                burst: 1,
-                admission: None,
-                durability: None,
-                audit_interval: None,
-            }
-        } else {
-            // No scheduled faults: the workload itself is the adversary.
-            // burst ≥ 16 with a per-origin cap of 4 guarantees sheds at
-            // every window in {1, 4, 8}: the first `window` flushes fill
-            // the pipeline, the next 4 iterations fill each origin's
-            // queue to its cap, and everything after that is shed.
-            Scenario {
-                seed,
-                n,
-                window,
-                ticks: 8,
-                class: FaultClass::Overload,
-                plan: NemesisPlan::new(),
-                tick_budget: Duration::from_millis(3),
-                burst: rng.gen_range(16..=24),
-                admission: Some(AdmissionConfig {
-                    max_queued_per_origin: 4,
-                    ..AdmissionConfig::default()
-                }),
-                durability: None,
-                audit_interval: None,
-            }
-        }
-    }
-
-    /// Deterministically compose an **integrity** scenario from `seed`:
-    /// `seed % 3` cycles three corruption regimes, each checked against
-    /// the end-to-end integrity properties on top of the always-on
-    /// atomic-broadcast checker —
-    ///
-    /// * `0` → [`FaultClass::BitFlip`]: probabilistic bit flips on two
-    ///   or three overlay links (cleared mid-run). Every flip must be
-    ///   CRC-detected and discarded, never delivered: the run ends with
-    ///   zero divergences and converged snapshots, and the flip counter
-    ///   proves the storm happened.
-    /// * `1` → [`FaultClass::Divergence`]: one replica's state is
-    ///   poisoned outside agreement with the audit interval pinned
-    ///   small. The digest cross-check must quarantine it typed, heal
-    ///   it from a peer snapshot, and reconverge
-    ///   ([`PropertyChecker::check_quarantine_converges`]).
-    /// * `2` → [`FaultClass::DiskRot`]: a bit is durably flipped inside
-    ///   one server's WAL (acknowledged history), then the whole
-    ///   deployment power-fails. Recovery must report the rot and
-    ///   rebuild that server from its peers — never trim — with no
-    ///   acknowledged command lost
-    ///   ([`PropertyChecker::check_rot_detected`]).
-    ///
-    /// The round window cycles over {1, 4, 8} with `seed / 3`. A
-    /// separate generator so the classic `seed % 5` class mapping of
-    /// [`Scenario::generate`] (and every CI seed pinned against it)
-    /// stays stable.
-    pub fn generate_integrity(seed: u64) -> Scenario {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let window = [1usize, 4, 8][(seed as usize / 3) % 3];
-        let n = rng.gen_range(6..=10);
-        match seed % 3 {
-            0 => {
-                let overlay = overlay_for(n);
-                let edges: Vec<(ServerId, ServerId)> = overlay.edges().collect();
+            FaultClass::LinkFlap => {
                 let mut plan = NemesisPlan::new();
                 for _ in 0..rng.gen_range(2..=3) {
-                    let (from, to) = edges[rng.gen_range(0..edges.len())];
+                    let (from, to) = edge(&mut rng);
+                    // Well under the tick budget (and any grace window),
+                    // so the outage is transient by construction.
+                    let down_for = Duration::from_micros(rng.gen_range(100..=1_000));
+                    let tick = rng.gen_range(1..=6);
+                    plan = plan.at(
+                        tick,
+                        NemesisAction::Fault(FaultCommand::LinkFlap { from, to, down_for }),
+                    );
+                }
+                plan
+            }
+            FaultClass::Overload => {
+                // No scheduled faults: the workload itself is the
+                // adversary. burst ≥ 16 with a per-origin cap of 4
+                // guarantees sheds at every window in {1, 4, 8}: the
+                // first `window` flushes fill the pipeline, the next 4
+                // iterations fill each origin's queue to its cap, and
+                // everything after that is shed.
+                s.ticks = 8;
+                s.burst = rng.gen_range(16..=24);
+                s.admission = Some(AdmissionConfig {
+                    max_queued_per_origin: 4,
+                    ..AdmissionConfig::default()
+                });
+                NemesisPlan::new()
+            }
+            FaultClass::BitFlip => {
+                let mut plan = NemesisPlan::new();
+                for _ in 0..rng.gen_range(2..=3) {
+                    let (from, to) = edge(&mut rng);
                     let ppm = rng.gen_range(200_000..=500_000);
                     plan =
                         plan.at(1, NemesisAction::Fault(FaultCommand::BitFlip { from, to, ppm }));
                 }
-                Scenario {
-                    seed,
-                    n,
-                    window,
-                    ticks: 10,
-                    class: FaultClass::BitFlip,
-                    plan: plan.at(8, NemesisAction::Fault(FaultCommand::ClearLinkFaults)),
-                    tick_budget: Duration::from_millis(3),
-                    burst: 1,
-                    admission: None,
-                    durability: None,
-                    // The audit runs throughout: a flip the CRC missed
-                    // would diverge a replica and be flagged.
-                    audit_interval: Some(4),
-                }
+                // The audit runs throughout: a flip the CRC missed would
+                // diverge a replica and be flagged.
+                s.audit_interval = Some(4);
+                plan.at(8, NemesisAction::Fault(FaultCommand::ClearLinkFaults))
             }
-            1 => {
-                let victim = rng.gen_range(0..n as ServerId);
-                Scenario {
-                    seed,
-                    n,
-                    window,
-                    ticks: 12,
-                    class: FaultClass::Divergence,
-                    plan: NemesisPlan::new().at(3, NemesisAction::PoisonReplica { server: victim }),
-                    tick_budget: Duration::from_millis(3),
-                    burst: 1,
-                    admission: None,
-                    durability: None,
-                    audit_interval: Some(4),
-                }
+            FaultClass::Divergence => {
+                s.ticks = 12;
+                s.audit_interval = Some(4);
+                NemesisPlan::new().at(3, NemesisAction::PoisonReplica { server: victim(&mut rng) })
             }
-            _ => {
-                let victim = rng.gen_range(0..n as ServerId);
+            FaultClass::DiskRot => {
+                let server = victim(&mut rng);
                 // Inside the first frame's checksummed payload (bytes
-                // 8..16 hold its epoch field), so the flip is mid-log
-                // rot on acknowledged history, never a torn tail.
+                // 8..16 hold its epoch field), so the flip is mid-log rot
+                // on acknowledged history, never a torn tail.
                 let bit: u64 = 64 + rng.gen_range(0..64u64);
-                let fsync_every = [1u64, 4, 8][rng.gen_range(0..3usize)];
-                Scenario {
-                    seed,
-                    n,
-                    window,
-                    ticks: 10,
-                    class: FaultClass::DiskRot,
-                    // Same tick, insertion order: the rot lands moments
-                    // before the power loss, so no durable skew can
-                    // develop between injection and crash (the scenario
-                    // tests rot *detection*, not the one-durable-copy
-                    // fault budget).
-                    plan: NemesisPlan::new()
-                        .at(6, NemesisAction::DiskRot { server: victim, bit })
-                        .at(6, NemesisAction::KillAllAndRecover { torn: Vec::new() }),
-                    tick_budget: Duration::from_millis(3),
-                    burst: 1,
-                    admission: None,
-                    durability: Some(DurabilityConfig::deterministic(fsync_every)),
-                    audit_interval: None,
-                }
+                s.durability = Some(DurabilityConfig::deterministic(fsync_every(&mut rng)));
+                // Same tick, insertion order: the rot lands moments
+                // before the power loss, so no durable skew can develop
+                // between injection and crash (the scenario tests rot
+                // *detection*, not the one-durable-copy fault budget).
+                NemesisPlan::new()
+                    .at(6, NemesisAction::DiskRot { server, bit })
+                    .at(6, NemesisAction::KillAllAndRecover { torn: Vec::new() })
             }
-        }
+        };
+        s
     }
 
     /// Override the per-tick driving budget (useful on TCP, where the
@@ -616,14 +511,19 @@ impl Scenario {
     }
 
     /// Run over an already-constructed cluster (any backend). The
-    /// cluster must be deployed on [`Scenario::overlay`]. On TCP, plans
-    /// containing sim-only fault commands (partition, delay, reorder)
-    /// fail with [`ClusterError::Unsupported`] wrapped in
-    /// [`ScenarioError::Service`] — generate a supported class
-    /// ([`FaultClass::CrashRestart`], [`FaultClass::MessageLoss`],
-    /// [`FaultClass::Churn`]) for TCP runs. Plans containing
-    /// [`NemesisAction::KillAllAndRecover`] fail with
-    /// [`ScenarioError::Unsupported`] — use [`Scenario::run_sim`].
+    /// cluster must be deployed on [`Scenario::overlay`].
+    ///
+    /// The TCP transport refuses four [`FaultCommand`]s —
+    /// [`FaultCommand::Partition`], [`FaultCommand::Isolate`],
+    /// [`FaultCommand::Delay`] and [`FaultCommand::Reorder`] — with
+    /// [`ClusterError::Unsupported`] wrapped in [`ScenarioError::Service`].
+    /// Two actions need [`Scenario::run_sim`] on any backend:
+    /// [`NemesisAction::KillAllAndRecover`] fails here with
+    /// [`ScenarioError::Unsupported`] (recovery rebuilds the cluster
+    /// from the seeded factory), and [`NemesisAction::DiskRot`] is only
+    /// checked by the recovery that follows it. Over TCP, only
+    /// `Scenario::generate(Family::Classic, 6)` (crash-restart, in the
+    /// workspace's `tests/soak.rs`) is exercised.
     ///
     /// [`ClusterError::Unsupported`]: allconcur_cluster::ClusterError::Unsupported
     pub fn run_on(&self, cluster: Cluster) -> Result<ScenarioReport, ScenarioError> {
@@ -798,11 +698,11 @@ impl Scenario {
         state: &mut RunState,
         factory: Option<&dyn Fn() -> Cluster>,
     ) -> Result<(), ScenarioError> {
-        if let NemesisAction::KillAllAndRecover { torn } = action {
-            return self.kill_all(torn, slot, state, factory);
-        }
         let service = slot.as_mut().expect("service alive between actions");
         match action {
+            NemesisAction::KillAllAndRecover { torn } => {
+                return self.kill_all(torn, slot, state, factory);
+            }
             NemesisAction::Fault(cmd) => {
                 service.cluster_mut().inject_fault(cmd).map_err(ServiceError::Cluster)?;
             }
@@ -900,7 +800,6 @@ impl Scenario {
                     }
                 }
             }
-            NemesisAction::KillAllAndRecover { .. } => unreachable!("handled above"),
         }
         Ok(())
     }
@@ -984,29 +883,11 @@ impl Scenario {
             recovered.set_audit_interval(interval);
         }
         recovered.record_deliveries(true);
-        // Rot accounting first: recovery must have *detected* every
-        // injected rot (refused the log, rebuilt from peers) — a rot
-        // absent from the report means corrupt bytes entered the
-        // recovered state unnoticed.
-        let rebuilt: Vec<ServerId> = report.rotted.iter().map(|(s, _)| *s).collect();
-        state.report.rotted += rebuilt.len() as u64;
-        let injected: Vec<ServerId> = state.rot_injected.iter().copied().collect();
-        PropertyChecker::check_rot_detected(&injected, &rebuilt)?;
-        state.rot_injected.clear();
-        // The durability property: nothing acknowledged is ever lost,
-        // and every recovered replica converged to the same state.
-        let mut outcome =
-            PropertyChecker::check_recovered_acks(&state.durable_acked, recovered.query_local(0)?);
-        if outcome.is_ok() {
-            let mut snapshots = Vec::new();
-            for id in recovered.live_servers() {
-                snapshots.push((id, recovered.replica(id)?.snapshot()));
-            }
-            outcome = PropertyChecker::check_snapshots(&snapshots);
-        }
-        if let Err(violation) = outcome {
+        // Every post-recovery failure dumps the logs recovery saw:
+        // the rotted or torn bytes are the evidence.
+        if let Err(e) = check_recovery(&recovered, &report.rotted, state) {
             dump_wals(&mut recovered, self.seed);
-            return Err(violation.into());
+            return Err(e);
         }
         state.record = EpochRecord::new(state.record.epoch + 1);
         state.report.epochs += 1;
@@ -1080,6 +961,30 @@ struct RunState {
     rot_injected: BTreeSet<ServerId>,
 }
 
+/// The properties asserted right after a kill-all recovery. Rot
+/// accounting first: recovery must have *detected* every injected rot
+/// (refused the log, rebuilt from peers) — a rot absent from the report
+/// means corrupt bytes entered the recovered state unnoticed. Then the
+/// durability property: nothing acknowledged is ever lost, and every
+/// recovered replica converged to the same state.
+fn check_recovery(
+    recovered: &Service<KvStore>,
+    rotted: &[(ServerId, MidLogRot)],
+    state: &mut RunState,
+) -> Result<(), ScenarioError> {
+    let rebuilt: Vec<ServerId> = rotted.iter().map(|(s, _)| *s).collect();
+    state.report.rotted += rebuilt.len() as u64;
+    let injected: Vec<ServerId> = std::mem::take(&mut state.rot_injected).into_iter().collect();
+    PropertyChecker::check_rot_detected(&injected, &rebuilt)?;
+    PropertyChecker::check_recovered_acks(&state.durable_acked, recovered.query_local(0)?)?;
+    let mut snapshots = Vec::new();
+    for id in recovered.live_servers() {
+        snapshots.push((id, recovered.replica(id)?.snapshot()));
+    }
+    PropertyChecker::check_snapshots(&snapshots)?;
+    Ok(())
+}
+
 /// Clear any disk-slow fsync suspension (no-op without durability, and
 /// on disks that aren't the in-memory model).
 fn resume_disks(service: &mut Service<KvStore>) {
@@ -1130,159 +1035,56 @@ mod tests {
     use super::*;
 
     #[test]
-    fn generation_is_deterministic() {
-        for seed in 0..15 {
-            let a = Scenario::generate(seed);
-            let b = Scenario::generate(seed);
-            assert_eq!(a.n, b.n);
-            assert_eq!(a.window, b.window);
-            assert_eq!(a.class, b.class);
-            assert_eq!(a.plan, b.plan);
-        }
-    }
-
-    #[test]
-    fn fifteen_consecutive_seeds_span_the_matrix() {
-        use std::collections::BTreeSet;
-        let combos: BTreeSet<(String, usize)> = (0..15)
-            .map(|s| {
-                let sc = Scenario::generate(s);
-                (sc.class.to_string(), sc.window)
-            })
-            .collect();
-        assert_eq!(combos.len(), 15, "5 classes × 3 windows all distinct");
-    }
-
-    #[test]
-    fn one_scenario_runs_green_per_class() {
-        for seed in 0..5 {
-            let scenario = Scenario::generate(seed);
-            let report = scenario.run_sim().unwrap_or_else(|e| panic!("{scenario} failed: {e}"));
-            assert!(report.rounds > 0, "{scenario} delivered nothing");
-            assert!(report.resolved > 0, "{scenario} resolved nothing");
-        }
-    }
-
-    #[test]
-    fn durability_generation_is_deterministic() {
-        for seed in 0..6 {
-            let a = Scenario::generate_durability(seed);
-            let b = Scenario::generate_durability(seed);
-            assert_eq!(a.n, b.n);
-            assert_eq!(a.window, b.window);
-            assert_eq!(a.plan, b.plan);
-            assert_eq!(a.durability, b.durability);
-            assert_eq!(a.class, FaultClass::KillAllRecover);
-        }
-    }
-
-    #[test]
-    fn resilience_generation_is_deterministic() {
-        for seed in 0..6 {
-            let a = Scenario::generate_resilience(seed);
-            let b = Scenario::generate_resilience(seed);
-            assert_eq!(a.n, b.n);
-            assert_eq!(a.window, b.window);
-            assert_eq!(a.class, b.class);
-            assert_eq!(a.plan, b.plan);
-            assert_eq!(a.burst, b.burst);
-            assert_eq!(a.admission, b.admission);
-            let expected =
-                if seed.is_multiple_of(2) { FaultClass::LinkFlap } else { FaultClass::Overload };
-            assert_eq!(a.class, expected);
-        }
-    }
-
-    #[test]
-    fn link_flap_scenario_heals_with_full_membership() {
-        let scenario = Scenario::generate_resilience(0);
-        assert_eq!(scenario.class, FaultClass::LinkFlap);
-        let report = scenario.run_sim().unwrap_or_else(|e| panic!("{scenario} failed: {e}"));
-        assert!(report.rounds > 0, "{scenario} delivered nothing");
-        assert!(report.resolved > 0, "{scenario} resolved nothing");
-        assert_eq!(report.shed, 0, "{scenario} shed under a plain workload");
-    }
-
-    #[test]
-    fn overload_scenario_sheds_typed_and_accounted() {
-        let scenario = Scenario::generate_resilience(1);
-        assert_eq!(scenario.class, FaultClass::Overload);
-        let report = scenario.run_sim().unwrap_or_else(|e| panic!("{scenario} failed: {e}"));
-        assert!(report.shed > 0, "{scenario} never shed under an open-loop burst");
-        assert!(report.resolved > 0, "{scenario} resolved nothing");
-    }
-
-    #[test]
-    fn integrity_generation_is_deterministic() {
-        for seed in 0..9 {
-            let a = Scenario::generate_integrity(seed);
-            let b = Scenario::generate_integrity(seed);
-            assert_eq!(a.n, b.n);
-            assert_eq!(a.window, b.window);
-            assert_eq!(a.class, b.class);
-            assert_eq!(a.plan, b.plan);
-            assert_eq!(a.durability, b.durability);
-            assert_eq!(a.audit_interval, b.audit_interval);
-            let expected = match seed % 3 {
-                0 => FaultClass::BitFlip,
-                1 => FaultClass::Divergence,
-                _ => FaultClass::DiskRot,
-            };
-            assert_eq!(a.class, expected);
-        }
-    }
-
-    #[test]
-    fn bit_flip_scenario_detects_every_flip() {
-        let scenario = Scenario::generate_integrity(0);
-        assert_eq!(scenario.class, FaultClass::BitFlip);
-        let report = scenario.run_sim().unwrap_or_else(|e| panic!("{scenario} failed: {e}"));
-        assert!(report.flipped > 0, "{scenario} never flipped a bit");
-        assert_eq!(report.quarantines, 0, "{scenario}: a flip leaked into applied state");
-        assert!(report.resolved > 0, "{scenario} resolved nothing");
-    }
-
-    #[test]
-    fn divergence_scenario_quarantines_and_heals() {
-        let scenario = Scenario::generate_integrity(1);
-        assert_eq!(scenario.class, FaultClass::Divergence);
-        let report = scenario.run_sim().unwrap_or_else(|e| panic!("{scenario} failed: {e}"));
-        assert!(report.quarantines >= 1, "{scenario} never caught the poison");
-        assert!(report.rejoins >= 1, "{scenario} never healed the quarantined replica");
-    }
-
-    #[test]
-    fn disk_rot_scenario_rebuilds_from_peers() {
-        let scenario = Scenario::generate_integrity(2);
-        assert_eq!(scenario.class, FaultClass::DiskRot);
-        let report = scenario.run_sim().unwrap_or_else(|e| panic!("{scenario} failed: {e}"));
-        assert_eq!(report.rotted, 1, "{scenario}: the rot was not detected at recovery");
-        assert!(report.recoveries >= 1, "{scenario} never recovered");
-    }
-
-    #[test]
-    fn kill_all_scenario_survives_power_loss() {
-        let scenario = Scenario::generate_durability(0);
-        let report = scenario.run_sim().unwrap_or_else(|e| panic!("{scenario} failed: {e}"));
-        assert!(report.recoveries >= 1, "{scenario} never recovered from a kill-all");
-        assert!(report.resolved > 0, "{scenario} resolved nothing");
-    }
-
-    #[test]
     fn kill_all_requires_durability_and_a_factory() {
         // A kill-all plan without durability is a typed refusal, not UB.
-        let mut scenario = Scenario::generate_durability(1);
+        let mut scenario = Scenario::generate(Family::Durability, 1);
         scenario.durability = None;
         match scenario.run_sim() {
             Err(ScenarioError::Unsupported { .. }) => {}
             other => panic!("expected Unsupported, got {other:?}"),
         }
         // And run_on (no rebuildable backend) refuses even with it on.
-        let scenario = Scenario::generate_durability(1);
+        let scenario = Scenario::generate(Family::Durability, 1);
         let opts = SimOptions::default();
         match scenario.run_on(Cluster::sim_with(scenario.overlay(), opts)) {
             Err(ScenarioError::Unsupported { .. }) => {}
             other => panic!("expected Unsupported, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn failed_rot_detection_dumps_the_wals() {
+        // Recovery reports no rot while the run recorded one, the
+        // failure whose evidence is the log bytes themselves: the dump
+        // must run before the error propagates.
+        let dir = std::env::temp_dir().join(format!("nemesis-wal-dump-{}", std::process::id()));
+        std::env::set_var("NEMESIS_WAL_DUMP", &dir);
+        let scenario = Scenario::generate(Family::Durability, 0);
+        let make = || Cluster::sim_with(scenario.overlay(), SimOptions::default());
+        let store = DurabilityStore::memory(scenario.n);
+        let cfg = DurabilityConfig::deterministic(1);
+        let mut service = Service::with_durability(make(), &KvStore::default(), store, cfg)
+            .expect("durable service");
+        service.submit(0, &uid_command(1)).expect("submit");
+        service.sync(SYNC_TIMEOUT).expect("sync");
+        let mut state = RunState {
+            record: EpochRecord::new(0),
+            pending: Vec::new(),
+            report: ScenarioReport::default(),
+            durable_acked: BTreeSet::new(),
+            rot_injected: BTreeSet::from([0]),
+        };
+        let result = scenario.kill_all(&[], &mut Some(service), &mut state, Some(&make));
+        assert!(
+            matches!(
+                result,
+                Err(ScenarioError::Property(PropertyViolation::SilentCorruption { server: 0 }))
+            ),
+            "{result:?}"
+        );
+        let dumped = dir.join(format!("seed-{}", scenario.seed)).join("server-0");
+        let files = std::fs::read_dir(&dumped).map(|d| d.count()).unwrap_or(0);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(files > 0, "no WAL segment dumped under {}", dumped.display());
     }
 }

@@ -50,7 +50,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -536,6 +536,10 @@ struct NodeState {
     /// Predecessors whose last inbound connection dropped; suspicion
     /// fires when the deadline passes without a reconnect.
     reader_grace: HashMap<ServerId, Instant>,
+    /// Peers this node has suspected; each counts once in the link
+    /// stats however many paths (disconnect grace, heartbeat timeout)
+    /// report it.
+    suspected: HashSet<ServerId>,
     links: HashMap<ServerId, OutLink>,
     conns: HashMap<usize, Conn>,
     listener: TcpListener,
@@ -649,6 +653,7 @@ impl NodeState {
             adaptive: AdaptiveTimeout::new(opts.fd.timeout, adaptive_cap.max(opts.fd.timeout)),
             reader_counts: HashMap::new(),
             reader_grace: HashMap::new(),
+            suspected: HashSet::new(),
             links,
             conns: HashMap::new(),
             listener,
@@ -681,6 +686,17 @@ impl NodeState {
         self.actions.clear();
         self.server.handle_into(event, &mut self.actions);
         self.write_actions();
+    }
+
+    /// Suspect `s` through the ◇P path. The core treats a suspicion as
+    /// permanent, so the link stats count each peer once per node even
+    /// when both the disconnect grace and the heartbeat timeout report
+    /// it; the core is still fed every report and dedups via F_i.
+    fn raise_suspicion(&mut self, s: ServerId) {
+        if self.suspected.insert(s) {
+            self.stats.on_suspicion();
+        }
+        self.process(Event::Suspect { suspect: s });
     }
 
     /// Route sends (encoding each distinct message **once** and fanning
@@ -880,8 +896,7 @@ impl NodeState {
         }
         if self.link_grace.is_zero() {
             // Degenerate configuration: suspect immediately.
-            self.stats.on_suspicion();
-            self.process(Event::Suspect { suspect: from });
+            self.raise_suspicion(from);
             return;
         }
         self.reader_grace.entry(from).or_insert_with(|| Instant::now() + self.link_grace);
@@ -1621,8 +1636,7 @@ impl NodeState {
             self.reader_grace.iter().filter(|(_, &d)| d <= now).map(|(&k, _)| k).collect();
         for from in suspects {
             self.reader_grace.remove(&from);
-            self.stats.on_suspicion();
-            self.process(Event::Suspect { suspect: from });
+            self.raise_suspicion(from);
             if self.dead {
                 return;
             }
@@ -1689,8 +1703,7 @@ impl NodeState {
         if self.next_fd_check <= now {
             self.next_fd_check = now + self.fd_poll;
             for s in self.hb_table.expired(self.adaptive.current()) {
-                self.stats.on_suspicion();
-                self.process(Event::Suspect { suspect: s });
+                self.raise_suspicion(s);
                 if self.dead {
                     return;
                 }

@@ -128,6 +128,31 @@ fn heartbeat_timeout_counts_a_suspicion() {
 }
 
 #[test]
+fn crashed_predecessor_counts_one_suspicion() {
+    // A crash is reported twice at each survivor: the reader's 50 ms
+    // disconnect grace expires first, the 200 ms heartbeat timeout
+    // later. The core treats a suspicion as permanent, so the link
+    // stats must count the crashed peer once.
+    let opts = RuntimeOptions {
+        link_grace: Duration::from_millis(50),
+        fd: FdParams {
+            heartbeat_period: Duration::from_millis(10),
+            timeout: Duration::from_millis(200),
+        },
+        ..RuntimeOptions::default()
+    };
+    let mut cluster = LocalCluster::spawn(complete_digraph(N), opts).unwrap();
+    run_checked_round(&cluster, 0);
+    cluster.kill(3);
+    wait_stats(&cluster, 0, "suspicion of the crashed server", |s| s.suspicions >= 1);
+    // Outlives both the grace and the (adaptive) heartbeat timeout.
+    std::thread::sleep(Duration::from_secs(1));
+    let s0 = cluster.link_stats(0);
+    assert_eq!(s0.suspicions, 1, "one crashed peer, one suspicion: {s0:?}");
+    cluster.shutdown();
+}
+
+#[test]
 fn watermark_saturation_bounds_degraded_queues() {
     let opts = RuntimeOptions {
         link_grace: Duration::from_secs(30),

@@ -112,7 +112,7 @@ pub mod prelude {
         binomial::binomial_graph, gs::gs_digraph, Digraph, ReliabilityModel,
     };
     pub use allconcur_nemesis::{
-        NemesisAction, NemesisPlan, PropertyChecker, Scenario, ScenarioReport,
+        Family, NemesisAction, NemesisPlan, PropertyChecker, Scenario, ScenarioReport,
     };
     pub use allconcur_rsm::{
         AdmissionConfig, CommandHandle, IntegrityStats, RecoveryReport, Service, ServiceError,

@@ -1,56 +1,23 @@
-//! Durability nemesis suite: whole-cluster power losses with torn tail
+//! Durability nemesis seeds: whole-cluster power losses with torn tail
 //! writes and disk-slow fsync spikes, recovered from the write-ahead
 //! logs alone.
 //!
-//! Ten pinned kill-all-and-recover seeds run on the discrete-event
-//! simulator. Every scenario runs the full always-on property checker
-//! (validity, uniform agreement, integrity, total order, snapshot
-//! convergence) on the pre-crash epoch, then — after recovery — asserts
-//! the durability property: **every command acknowledged before the
-//! power loss is present in the recovered state**, and all recovered
-//! replicas converge byte-identically. Torn writes may only roll back
-//! the *unacknowledged* unsynced tail.
-//!
-//! **Reproducing a failure:** execution is fully deterministic per
-//! seed; replay with `Scenario::generate_durability(seed).run_sim()`.
-//! In CI, failing runs dump every server's WAL segments under
-//! `$NEMESIS_WAL_DUMP/seed-<seed>/server-<id>/` for artifact upload.
+//! After each recovery the checker asserts that every command
+//! acknowledged before the power loss is in the recovered state and
+//! that the recovered replicas converge. Ten pinned seeds, one or two
+//! power losses each; replay with
+//! `Scenario::generate(Family::Durability, seed).run_sim()`.
 
-use allconcur_nemesis::{FaultClass, Scenario};
+mod common;
 
-/// The pinned CI seeds — two or three per fsync window, one or two
-/// power losses each (the plan shape is seed-derived).
-const SEEDS: [u64; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
+use allconcur_nemesis::Family;
 
 #[test]
 fn pinned_kill_all_and_recover_seeds() {
-    for seed in SEEDS {
-        let scenario = Scenario::generate_durability(seed);
-        assert_eq!(scenario.class, FaultClass::KillAllRecover);
-        let report = scenario.run_sim().unwrap_or_else(|e| {
-            panic!(
-                "{scenario} FAILED: {e}\n\
-                 replay deterministically with `Scenario::generate_durability({seed}).run_sim()`"
-            )
-        });
-        assert!(report.recoveries >= 1, "{scenario} never exercised a kill-all recovery");
-        assert!(report.rounds > 0, "{scenario} delivered no rounds");
-        assert!(report.resolved > 0, "{scenario} resolved no commands");
-        assert_eq!(
-            report.epochs,
-            report.recoveries + 1,
-            "{scenario}: every epoch boundary should be a recovery"
-        );
-    }
+    common::run_pinned(Family::Durability, 0..10);
 }
 
 #[test]
 fn durability_replays_byte_for_byte() {
-    // The reproducibility contract behind the printed-seed workflow.
-    for seed in [2u64, 7] {
-        let a = Scenario::generate_durability(seed);
-        let b = Scenario::generate_durability(seed);
-        assert_eq!(a.plan, b.plan, "seed {seed} plans diverged");
-        assert_eq!(a.run_sim().unwrap(), b.run_sim().unwrap(), "seed {seed} executions diverged");
-    }
+    common::replays_byte_for_byte(Family::Durability, &[2, 7]);
 }

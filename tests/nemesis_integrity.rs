@@ -1,84 +1,23 @@
-//! Integrity nemesis suite: wire bit-flip storms, silent replica
-//! poison, and durable mid-log WAL rot, checked against the end-to-end
-//! integrity properties on top of the always-on atomic-broadcast
-//! checker.
+//! Integrity nemesis seeds: wire bit-flip storms, silent replica
+//! poison and durable mid-log WAL rot.
 //!
-//! Ten pinned seeds run on the discrete-event simulator, cycling three
-//! corruption regimes with `seed % 3`:
-//!
-//! * **bit-flip** (`seed % 3 == 0`): probabilistic single-bit flips on
-//!   two or three overlay links. Every flip must be CRC-detected at the
-//!   frame boundary and discarded — the divergence audit runs
-//!   throughout and must see **zero** diverged replicas, while the flip
-//!   counter proves the storm actually happened;
-//! * **divergence** (`seed % 3 == 1`): one replica's applied state is
-//!   silently poisoned outside agreement. The digest cross-check must
-//!   quarantine it typed, heal it from a peer snapshot, and reconverge
-//!   — a stuck quarantine or an undetected poison fails the run;
-//! * **disk-rot** (`seed % 3 == 2`): one bit is durably flipped inside
-//!   a server's write-ahead log (acknowledged history), then the whole
-//!   deployment power-fails. Recovery must classify the damage as rot
-//!   — never trim it as a torn tail — and rebuild that server from its
-//!   peers with nothing acknowledged lost.
-//!
-//! **Reproducing a failure:** execution is fully deterministic per
-//! seed; replay with `Scenario::generate_integrity(seed).run_sim()`.
-//! Failing runs print the scenario line plus the report's integrity
-//! counters before panicking.
+//! `seed % 3` cycles the three classes: every flip must be caught by the
+//! frame CRC, a poisoned replica must be quarantined and healed from a
+//! peer snapshot, and a rotted log must be rebuilt from peers with
+//! nothing acknowledged lost. Ten pinned seeds; replay with
+//! `Scenario::generate(Family::Integrity, seed).run_sim()`.
 
-use allconcur_nemesis::{FaultClass, Scenario};
+mod common;
 
-/// The pinned CI seeds — `seed % 3` cycles bit-flip / divergence /
-/// disk-rot, spanning the {1, 4, 8} round-window cycle.
-const SEEDS: [u64; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
+use allconcur_nemesis::Family;
 
 #[test]
 fn pinned_integrity_seeds() {
-    for seed in SEEDS {
-        let scenario = Scenario::generate_integrity(seed);
-        let report = scenario.run_sim().unwrap_or_else(|e| {
-            panic!(
-                "{scenario} FAILED: {e}\n\
-                 (integrity counters are reported per run; rerun with \
-                 `Scenario::generate_integrity({seed}).run_sim()` to replay byte-for-byte)"
-            )
-        });
-        println!(
-            "{scenario}: flipped={} quarantines={} rejoins={} rotted={}",
-            report.flipped, report.quarantines, report.rejoins, report.rotted
-        );
-        assert!(report.rounds > 0, "{scenario} delivered no rounds");
-        match scenario.class {
-            FaultClass::BitFlip => {
-                // The storm must be real and fully absorbed at the wire:
-                // flips counted, nothing leaked into applied state.
-                assert!(report.flipped > 0, "{scenario} never flipped a bit");
-                assert_eq!(report.quarantines, 0, "{scenario}: a flip leaked past the CRC");
-                assert!(report.resolved > 0, "{scenario} resolved no commands under flips");
-            }
-            FaultClass::Divergence => {
-                // The full detect → quarantine → rejoin cycle ran.
-                assert!(report.quarantines >= 1, "{scenario} never caught the poison");
-                assert!(report.rejoins >= 1, "{scenario} never healed the quarantine");
-            }
-            FaultClass::DiskRot => {
-                // Recovery refused the rotted log and rebuilt from peers.
-                assert_eq!(report.rotted, 1, "{scenario}: the rot was not detected");
-                assert!(report.recoveries >= 1, "{scenario} never recovered");
-            }
-            other => panic!("generate_integrity produced unexpected class {other}"),
-        }
-    }
+    common::run_pinned(Family::Integrity, 0..10);
 }
 
 #[test]
 fn integrity_replays_byte_for_byte() {
-    // The reproducibility contract behind the printed-seed workflow —
-    // one seed per class.
-    for seed in [0u64, 1, 2] {
-        let a = Scenario::generate_integrity(seed);
-        let b = Scenario::generate_integrity(seed);
-        assert_eq!(a.plan, b.plan, "seed {seed} plans diverged");
-        assert_eq!(a.run_sim().unwrap(), b.run_sim().unwrap(), "seed {seed} executions diverged");
-    }
+    // One seed per class.
+    common::replays_byte_for_byte(Family::Integrity, &[0, 1, 2]);
 }

@@ -1,64 +1,22 @@
-//! Resilience nemesis suite: transient link flaps and open-loop
-//! overload, checked against the two resilience properties on top of
-//! the always-on atomic-broadcast checker.
+//! Resilience nemesis seeds: transient link flaps and open-loop
+//! overload.
 //!
-//! Ten pinned seeds run on the discrete-event simulator — five
-//! link-flap scenarios (even seeds: directed links sever and auto-heal
-//! well inside the grace budget; the run must end with **zero
-//! membership removals** and zero protocol-visible loss) and five
-//! overload scenarios (odd seeds: submission bursts beyond the round
-//! pipeline against a tight admission cap; every internal shed must
-//! surface as a typed `Busy` — the internal and observed counters are
-//! cross-checked, so nothing is shed silently).
-//!
-//! **Reproducing a failure:** execution is fully deterministic per
-//! seed; replay with `Scenario::generate_resilience(seed).run_sim()`.
-//! Failing runs print the scenario line plus the report's shed and
-//! suspicion counters before panicking.
+//! Even seeds flap overlay links well inside the grace budget and must
+//! end with zero membership removals; odd seeds burst submissions
+//! against a tight admission cap and must shed every surplus command as
+//! a typed `Busy`. Ten pinned seeds; replay with
+//! `Scenario::generate(Family::Resilience, seed).run_sim()`.
 
-use allconcur_nemesis::{FaultClass, Scenario};
+mod common;
 
-/// The pinned CI seeds — even = link-flap, odd = overload, spanning the
-/// {1, 4, 8} round-window cycle in both classes.
-const SEEDS: [u64; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
+use allconcur_nemesis::Family;
 
 #[test]
 fn pinned_resilience_seeds() {
-    for seed in SEEDS {
-        let scenario = Scenario::generate_resilience(seed);
-        let report = scenario.run_sim().unwrap_or_else(|e| {
-            panic!(
-                "{scenario} FAILED: {e}\n\
-                 (shed and suspicion counters are reported per run; rerun with \
-                 `Scenario::generate_resilience({seed}).run_sim()` to replay byte-for-byte)"
-            )
-        });
-        println!("{scenario}: shed={} suspicions={}", report.shed, report.suspicions);
-        assert!(report.rounds > 0, "{scenario} delivered no rounds");
-        assert!(report.resolved > 0, "{scenario} resolved no commands");
-        match scenario.class {
-            FaultClass::LinkFlap => {
-                // Under-grace flaps must be invisible to admission too.
-                assert_eq!(report.shed, 0, "{scenario} shed under a plain workload");
-            }
-            FaultClass::Overload => {
-                // The burst is sized to overrun every window in {1,4,8}:
-                // a shed-free run means admission control never engaged.
-                assert!(report.shed > 0, "{scenario} never shed under an open-loop burst");
-            }
-            other => panic!("generate_resilience produced unexpected class {other}"),
-        }
-    }
+    common::run_pinned(Family::Resilience, 0..10);
 }
 
 #[test]
 fn resilience_replays_byte_for_byte() {
-    // The reproducibility contract behind the printed-seed workflow —
-    // one seed per class.
-    for seed in [4u64, 5] {
-        let a = Scenario::generate_resilience(seed);
-        let b = Scenario::generate_resilience(seed);
-        assert_eq!(a.plan, b.plan, "seed {seed} plans diverged");
-        assert_eq!(a.run_sim().unwrap(), b.run_sim().unwrap(), "seed {seed} executions diverged");
-    }
+    common::replays_byte_for_byte(Family::Resilience, &[4, 5]);
 }

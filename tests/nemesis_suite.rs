@@ -1,141 +1,29 @@
-//! The nemesis suite: seeded fault-injection scenarios with the
-//! always-on atomic-broadcast property checker.
+//! Classic nemesis seeds: partition+heal, crash-restart, message loss,
+//! delay spikes and churn on the discrete-event simulator.
 //!
-//! Thirty generated scenarios (two full passes over the 5-fault-class ×
-//! 3-round-window matrix) run on the discrete-event simulator. Every
-//! scenario asserts, on every server, the four properties of §2.1–2.2 —
-//! validity, uniform agreement, integrity, total order — plus RSM
-//! snapshot convergence after the run settles.
-//!
-//! **Reproducing a failure:** execution is fully deterministic per seed.
-//! A failing case panics with its seed; replay it with
-//! `Scenario::generate(seed).run_sim()` (or
-//! `cargo run -p allconcur-nemesis --example sweep -- <seed> <seed+1>`).
+//! Thirty pinned seeds are two full passes over the 5 fault classes ×
+//! {1, 4, 8} round-window matrix; `common::check_report` holds each
+//! class's evidence. Replay a failing seed with
+//! `Scenario::generate(Family::Classic, seed).run_sim()`.
 
-use allconcur::prelude::*;
-use allconcur_nemesis::{FaultClass, NemesisAction, NemesisPlan, Scenario};
-use std::collections::BTreeSet;
-use std::time::Duration;
+mod common;
 
-/// Run one pass of seeds, asserting green properties and real progress.
-fn run_seeds(seeds: impl Iterator<Item = u64>) {
-    for seed in seeds {
-        let scenario = Scenario::generate(seed);
-        let report = scenario.run_sim().unwrap_or_else(|e| {
-            panic!(
-                "{scenario} FAILED: {e}\n\
-                 replay deterministically with `Scenario::generate({seed}).run_sim()`"
-            )
-        });
-        assert!(report.rounds > 0, "{scenario} delivered no rounds");
-        assert!(report.resolved > 0, "{scenario} resolved no commands");
-        if scenario.class == FaultClass::MessageLoss {
-            assert!(report.dropped > 0, "{scenario} injected loss but nothing was dropped");
-        }
-        if matches!(scenario.class, FaultClass::CrashRestart | FaultClass::Churn) {
-            assert!(report.epochs > 1, "{scenario} never exercised the rejoin path");
-        }
-    }
-}
+use allconcur_nemesis::Family;
 
 #[test]
 fn seeded_scenarios_first_matrix_pass() {
     // Seeds 0..15: one of each fault class × window ∈ {1, 4, 8}.
-    run_seeds(0..15);
+    common::run_pinned(Family::Classic, 0..15);
 }
 
 #[test]
 fn seeded_scenarios_second_matrix_pass() {
     // Seeds 15..30: a second independent pass (different sizes, victims,
     // link choices, rates, and timings).
-    run_seeds(15..30);
-}
-
-#[test]
-fn generated_matrix_spans_all_classes_and_windows() {
-    let combos: BTreeSet<(String, usize)> = (0..15)
-        .map(|s| {
-            let sc = Scenario::generate(s);
-            (sc.class.to_string(), sc.window)
-        })
-        .collect();
-    assert_eq!(combos.len(), 15, "5 fault classes × window ∈ {{1, 4, 8}}");
-    for window in [1usize, 4, 8] {
-        for class in ["partition+heal", "crash-restart", "message-loss", "delay-spike", "churn"] {
-            assert!(combos.contains(&(class.to_string(), window)), "missing {class} @ W={window}");
-        }
-    }
+    common::run_pinned(Family::Classic, 15..30);
 }
 
 #[test]
 fn failing_seed_replays_byte_for_byte() {
-    // The reproducibility contract behind the printed-seed workflow:
-    // the same seed yields the same plan and the same report.
-    for seed in [3u64, 11, 24] {
-        let a = Scenario::generate(seed);
-        let b = Scenario::generate(seed);
-        assert_eq!(a.plan, b.plan, "seed {seed} plans diverged");
-        assert_eq!(a.run_sim().unwrap(), b.run_sim().unwrap(), "seed {seed} executions diverged");
-    }
-}
-
-#[test]
-fn scripted_partition_with_pipelined_rounds() {
-    // A hand-written plan (no generator): deep window, long asymmetric +
-    // symmetric partition spanning most of the workload, healed late.
-    // Everything submitted during the partition must still agree.
-    let plan = NemesisPlan::new()
-        .at(1, NemesisAction::Fault(FaultCommand::Isolate { from: 0, to: 1 }))
-        .at(
-            2,
-            NemesisAction::Fault(FaultCommand::Partition {
-                groups: vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]],
-            }),
-        )
-        .at(9, NemesisAction::Fault(FaultCommand::HealPartitions));
-    let scenario = Scenario {
-        seed: 0,
-        n: 8,
-        window: 8,
-        ticks: 12,
-        class: FaultClass::PartitionHeal,
-        plan,
-        tick_budget: Duration::from_millis(3),
-        burst: 1,
-        admission: None,
-        durability: None,
-        audit_interval: None,
-    };
-    let report = scenario.run_sim().unwrap_or_else(|e| panic!("scripted partition: {e}"));
-    assert_eq!(report.resolved, 12 * 8, "every command resolved across the partition");
-    assert_eq!(report.failed, 0);
-}
-
-#[test]
-fn scripted_loss_and_reorder_combination() {
-    // Loss and reordering on the same overlay simultaneously — the
-    // combination neither generated class produces on its own.
-    let overlay = gs_digraph(8, 3).unwrap();
-    let (a, b) = (0u32, overlay.successors(0)[0]);
-    let (c, d) = (4u32, overlay.successors(4)[1]);
-    let plan = NemesisPlan::new()
-        .at(1, NemesisAction::Fault(FaultCommand::Drop { from: a, to: b, ppm: 600_000 }))
-        .at(1, NemesisAction::Fault(FaultCommand::Reorder { from: c, to: d, burst: 8 }))
-        .at(8, NemesisAction::Fault(FaultCommand::ClearLinkFaults));
-    let scenario = Scenario {
-        seed: 1,
-        n: 8,
-        window: 4,
-        ticks: 10,
-        class: FaultClass::MessageLoss,
-        plan,
-        tick_budget: Duration::from_millis(3),
-        burst: 1,
-        admission: None,
-        durability: None,
-        audit_interval: None,
-    };
-    let report = scenario.run_sim().unwrap_or_else(|e| panic!("loss+reorder: {e}"));
-    assert!(report.dropped > 0, "the lossy link saw no traffic");
-    assert_eq!(report.resolved, 10 * 8);
+    common::replays_byte_for_byte(Family::Classic, &[3, 11, 24]);
 }

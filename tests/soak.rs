@@ -76,8 +76,8 @@ fn thirty_rounds_with_periodic_crashes_and_reconfigs() {
 fn nemesis_scenario_on_sim_backend_fixed_seed() {
     // One generated nemesis scenario under a pinned seed — seed 10 is
     // partition+heal at window 8. Fully deterministic: a failure here
-    // replays with `Scenario::generate(10).run_sim()`.
-    let scenario = Scenario::generate(10);
+    // replays with `Scenario::generate(Family::Classic, 10).run_sim()`.
+    let scenario = Scenario::generate(Family::Classic, 10);
     let report = scenario.run_sim().unwrap_or_else(|e| panic!("{scenario} on sim: {e}"));
     assert!(report.rounds > 0, "{scenario}: no rounds agreed");
     assert!(report.resolved > 0, "{scenario}: no commands resolved");
@@ -90,7 +90,8 @@ fn nemesis_scenario_on_tcp_backend_fixed_seed() {
     // (crash via node teardown, rejoin via respawn + snapshot
     // catch-up). The tick budget is wall-clock here, so give loopback
     // rounds more room than the simulator needs.
-    let scenario = Scenario::generate(6).with_tick_budget(Duration::from_millis(100));
+    let scenario =
+        Scenario::generate(Family::Classic, 6).with_tick_budget(Duration::from_millis(100));
     let cluster = Cluster::tcp(scenario.overlay()).expect("spawn loopback cluster");
     let report = scenario.run_on(cluster).unwrap_or_else(|e| panic!("{scenario} on tcp: {e}"));
     assert!(report.rounds > 0, "{scenario}: no rounds agreed");
